@@ -4,18 +4,16 @@ Subcommands: validate, betti, thom, table, pair, structconst, transfer,
 integrate, demo.  Graphs come from builder specs (complete:N,
 permutahedron:N) or files (file:PATH or a bare path).  Output is the
 canonical polynomial rendering, deterministic across runs; --format
-structured mirrors the same content as JSON.  The GKMCALC_JOBS environment
-variable caps the worker-process count used for per-column table
-computation (default: the machine's CPU count).
+structured mirrors the same content as JSON.  Exit status: 0 on success,
+1 on validation or consistency failures, 2 on usage errors (a malformed
+graph spec, an unreadable or malformed class file).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,6 +31,10 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
+class UsageError(Exception):
+    """Malformed command-line input; main reports it and exits USAGE_ERROR."""
+
+
 def _parse_xi(text: Optional[str]) -> Optional[tuple[Fraction, ...]]:
     if text is None:
         return None
@@ -42,8 +44,17 @@ def _parse_xi(text: Optional[str]) -> Optional[tuple[Fraction, ...]]:
         raise GkmCalcError(f"bad --xi value {text!r}: {exc}") from exc
 
 
+def _build_graph(spec: str) -> GkmGraph:
+    try:
+        return build_graph(spec)
+    except GkmCalcError:
+        raise
+    except ValueError as exc:  # a size that is not an integer, as in complete:abc
+        raise UsageError(f"bad graph spec {spec!r}: {exc}") from exc
+
+
 def _graph_and_polarization(args) -> tuple[GkmGraph, Polarization]:
-    graph = build_graph(args.graph)
+    graph = _build_graph(args.graph)
     return graph, polarize(graph, _parse_xi(getattr(args, "xi", None)))
 
 
@@ -63,7 +74,7 @@ def _names_and_convert(graph: GkmGraph, basis: str):
 
 def cmd_validate(args) -> int:
     try:
-        graph = build_graph(args.graph)
+        graph = _build_graph(args.graph)
     except GkmCalcError as exc:
         _emit(args, f"[FAIL] {exc}", {"ok": False, "violations": [str(exc)]})
         return FAILURE
@@ -82,7 +93,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    graph = build_graph(args.graph)
+    graph = _build_graph(args.graph)
     xi = _parse_xi(args.xi)
     if xi is None:
         xi = graph.default_xi
@@ -109,13 +120,13 @@ def _class_lines(
 def cmd_thom(args) -> int:
     graph, pol = _graph_and_polarization(args)
     calc = ThomCalculator(pol)
-    vertex = graph.vertex_by_label(args.vertex)
     if args.minus:
-        cls = calc.thom_class_minus(vertex)
-    elif args.algorithm == "inductive":
-        cls = calc.thom_class_inductive(vertex)
-    else:
+        calc = calc.reversed_calculator()
+    vertex = graph.vertex_by_label(args.vertex)
+    if args.algorithm == "paths":
         cls = calc.thom_class_paths(vertex)
+    else:
+        cls = calc.thom_class_inductive(vertex)
     lines, rendered = _class_lines(graph, pol, dict(cls.values), args.basis)
     _emit(
         args,
@@ -125,52 +136,22 @@ def cmd_thom(args) -> int:
     return 0
 
 
-def _table_column(spec: str, xi_text: Optional[str], basis: str, base_label: str):
-    """Worker entry point: one Thom class rendered to strings."""
-    graph = build_graph(spec)
-    pol = polarize(graph, _parse_xi(xi_text))
-    calc = ThomCalculator(pol)
-    base = graph.vertex_by_label(base_label)
-    cls = calc.thom_class_paths(base)
-    names, convert = _names_and_convert(graph, basis)
-    return base_label, {
+def _table_column(calc: ThomCalculator, names, convert, base: str):
+    """One Thom class rendered to strings: (base label, {vertex label: value})."""
+    graph = calc.graph
+    cls = calc.thom_class_inductive(base)
+    return graph.label(base), {
         graph.label(v): convert(cls.values[v]).render(names) for v in graph.vertices
     }
 
 
-def _job_count() -> int:
-    raw = os.environ.get("GKMCALC_JOBS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise GkmCalcError(f"GKMCALC_JOBS must be an integer, got {raw!r}")
-
-
 def cmd_table(args) -> int:
     graph, pol = _graph_and_polarization(args)
+    calc = ThomCalculator(pol)
+    names, convert = _names_and_convert(graph, args.basis)
     order = pol.vertices_by_level()
     labels = [graph.label(v) for v in order]
-    jobs = min(_job_count(), len(order))
-    columns: dict[str, dict[str, str]] = {}
-    if jobs > 1 and len(order) >= 12:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            work = [
-                pool.submit(_table_column, args.graph, args.xi, args.basis, label)
-                for label in labels
-            ]
-            for future in work:
-                label, values = future.result()
-                columns[label] = values
-    else:
-        calc = ThomCalculator(pol)
-        names, convert = _names_and_convert(graph, args.basis)
-        for base in order:
-            cls = calc.thom_class_paths(base)
-            columns[graph.label(base)] = {
-                graph.label(v): convert(cls.values[v]).render(names) for v in graph.vertices
-            }
+    columns = dict(_table_column(calc, names, convert, base) for base in order)
     headers = ["vertex"] + [f"tau[{label}]" for label in labels]
     rows = [[row_label] + [columns[col][row_label] for col in labels] for row_label in labels]
     _emit(args, layout_table(headers, rows), {"order": labels, "columns": columns})
@@ -257,8 +238,13 @@ def cmd_transfer(args) -> int:
 
 def cmd_integrate(args) -> int:
     graph, pol = _graph_and_polarization(args)
-    with open(args.class_file) as handle:
-        document = json.load(handle)
+    try:
+        with open(args.class_file) as handle:
+            document = json.load(handle)
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and text decoding
+        raise UsageError(f"cannot read class file {args.class_file!r}: {exc}") from exc
+    if not isinstance(document, dict) or not all(isinstance(v, str) for v in document.values()):
+        raise UsageError(f"class file {args.class_file!r} is not a map of vertex to polynomial")
     coordinate_names = default_names(graph.dimension)
     values = {
         graph.vertex_by_label(label): parse_polynomial(text, coordinate_names)
@@ -326,7 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thom", help="one Thom class, vertex by vertex")
     add_common(p)
     p.add_argument("--vertex", required=True, help="base vertex (label or name)")
-    p.add_argument("--algorithm", choices=["paths", "inductive"], default="paths")
+    p.add_argument(
+        "--algorithm",
+        choices=["paths", "inductive"],
+        default="inductive",
+        help="inductive: the interpolation engine; paths: the path-sum verifier",
+    )
     p.add_argument("--minus", action="store_true", help="descending class instead")
     p.set_defaults(handler=cmd_thom)
 
@@ -373,6 +364,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GkmCalcError as exc:
         print(f"[FAIL] {type(exc).__name__}: {exc}", file=sys.stderr)
         return FAILURE
+    except UsageError as exc:
+        print(f"[FAIL] {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

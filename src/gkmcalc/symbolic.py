@@ -546,9 +546,11 @@ DenFactor = tuple[LinearForm, int]
 # only if the polynomial vanishes on the form's zero hyperplane.  We
 # evaluate at one fixed point of that hyperplane in GF(p); a nonzero value
 # proves non-divisibility and skips the exact division, a zero value is
-# inconclusive and falls through to it, so results never change.
+# inconclusive and falls through to it, so results never change.  A
+# coefficient whose denominator p divides has no image in GF(p); the probe
+# is then inconclusive as well.
 _PROBE_PRIME = (1 << 61) - 1
-_probe_cache: dict[LinearForm, tuple[int, ...]] = {}
+_probe_cache: dict[LinearForm, Optional[tuple[int, ...]]] = {}
 _inverse_cache: dict[int, int] = {}
 
 
@@ -561,30 +563,41 @@ def _mod_inverse(value: int) -> int:
     return inverse
 
 
-def _mod_value(value: Fraction) -> int:
-    return value.numerator % _PROBE_PRIME * _mod_inverse(value.denominator) % _PROBE_PRIME
+def _mod_value(value: Fraction) -> Optional[int]:
+    """The image of a rational in GF(p), or None when p divides its denominator."""
+    denominator = value.denominator % _PROBE_PRIME
+    if denominator == 0:
+        return None
+    return value.numerator % _PROBE_PRIME * _mod_inverse(denominator) % _PROBE_PRIME
 
 
-def _probe_point(form: LinearForm) -> tuple[int, ...]:
-    point = _probe_cache.get(form)
-    if point is None:
-        j = next(i for i, c in enumerate(form.coeffs) if c != 0)
+def _probe_point(form: LinearForm) -> Optional[tuple[int, ...]]:
+    """A point of the form's zero hyperplane in GF(p), or None when the form
+    has no nonzero image there."""
+    if form in _probe_cache:
+        return _probe_cache[form]
+    j = next(i for i, c in enumerate(form.coeffs) if c != 0)
+    images = [_mod_value(c) for c in form.coeffs]
+    point = None
+    if None not in images and images[j] != 0:
         values = [10007 + 101 * i for i in range(form.dim)]
-        rest = sum(
-            _mod_value(c) * values[i] for i, c in enumerate(form.coeffs) if i != j
-        )
-        values[j] = -rest * _mod_inverse(_mod_value(form.coeffs[j])) % _PROBE_PRIME
+        rest = sum(images[i] * values[i] for i in range(form.dim) if i != j)
+        values[j] = -rest * _mod_inverse(images[j]) % _PROBE_PRIME
         point = tuple(v % _PROBE_PRIME for v in values)
-        _probe_cache[form] = point
+    _probe_cache[form] = point
     return point
 
 
 def _maybe_divisible(poly: Polynomial, form: LinearForm) -> bool:
     point = _probe_point(form)
+    if point is None:
+        return True
     powers: list[dict[int, int]] = [{0: 1, 1: v} for v in point]
     total = 0
     for expo, coeff in poly.terms.items():
         term = _mod_value(coeff)
+        if term is None:
+            return True
         for i, e in enumerate(expo):
             if e:
                 cache = powers[i]

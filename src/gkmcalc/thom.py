@@ -1,5 +1,11 @@
-"""Thom classes by path sums and by induction, intersection numbers,
-pairings and structure constants.
+"""Thom classes, intersection numbers, pairings and structure constants.
+
+Each route has one job.  Classes come from one engine, thom_class_inductive
+(Newton interpolation over descending edges, exact division only); tau^-,
+pairings, the Thom basis and expansions in it all use it.  The path sums of
+thom_class_paths are its independent verifier.  Structure constants c_pq^r
+are configuration sums over triples of paths, checked against the
+localization integral of the engine's classes.
 
 For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
@@ -66,6 +72,7 @@ class ThomCalculator:
         self._q_edge: dict[int, RationalExpr] = {}
         self._q_pair: dict[tuple[int, int], RationalExpr] = {}
         self._classes: dict[str, "CohomologyClass"] = {}
+        self._path_classes: dict[str, "CohomologyClass"] = {}
         self._reversed: Optional["ThomCalculator"] = None
 
     # -- basic data ------------------------------------------------------
@@ -304,7 +311,8 @@ class ThomCalculator:
     # -- Thom classes ----------------------------------------------------------
 
     def thom_class_paths(self, base: str) -> "CohomologyClass":
-        """Thom class by the path-sum formula, with checked postconditions.
+        """Thom class by the path-sum formula, with checked postconditions;
+        the verifier of thom_class_inductive.
 
         The value at every vertex must reduce to a polynomial, the support
         is the flow-up of the base, the value at the base is the product of
@@ -313,7 +321,7 @@ class ThomCalculator:
         """
         from .cohomology import CohomologyClass
 
-        cached = self._classes.get(base)
+        cached = self._path_classes.get(base)
         if cached is not None:
             return cached
         graph = self.graph
@@ -337,64 +345,77 @@ class ThomCalculator:
                 f"leading value at {graph.label(base)} is not the descending product"
             )
         result = CohomologyClass(graph, values, degree=sigma)
-        self._classes[base] = result
+        self._path_classes[base] = result
         return result
 
     def thom_class_inductive(self, base: str) -> "CohomologyClass":
-        """Thom class by interpolation over descending edges, lowest level first.
+        """Thom class by Newton interpolation over descending edges, lowest
+        level first; vertices not reachable from the base get zero.
 
-        At each vertex above the base the value is the unique polynomial
-        congruent to the already-known value modulo each descending weight;
-        it is produced by the explicit interpolation formula
-        sum_j (prod_{k != j} alpha_k / rho_j(prod_{k != j} alpha_k)) f_j and
-        the congruences are re-checked exactly.
+        The result is checked to be a cocycle along every edge and
+        homogeneous of degree sigma_base.
         """
-        from .cohomology import CohomologyClass
+        from .cohomology import CohomologyClass, cocycle_witness
 
+        cached = self._classes.get(base)
+        if cached is not None:
+            return cached
         graph, pol = self.graph, self.pol
-        dim = graph.dimension
+        zero = Polynomial.zero(graph.dimension)
+        values = {v: zero for v in graph.vertices}
+        values[base] = self.nu_plus(base)
+        reached = {base}
         base_level = pol.level(base)
-        values: dict[str, Polynomial] = {}
         for vertex in pol.vertices_by_level():
-            if pol.level(vertex) < base_level:
-                values[vertex] = Polynomial.zero(dim)
-                continue
-            if vertex == base:
-                values[vertex] = self.nu_plus(base)
+            if pol.level(vertex) <= base_level:
                 continue
             descending = pol.descending_out(vertex)
-            if not descending:
-                values[vertex] = Polynomial.zero(dim)
-                continue
-            weights = [graph.weight(e) for e in descending]
-            below = [graph.edges[e].target for e in descending]
-            psi = RationalExpr.zero(dim)
-            for j, eid in enumerate(descending):
-                others = [w for k, w in enumerate(weights) if k != j]
-                numerator = Polynomial.product_of_forms(others, dim) * rho_poly(
-                    values[below[j]], weights[j], pol.xi
-                )
-                denominator = [rho_form(w, weights[j], pol.xi) for w in others]
-                psi = psi + RationalExpr.make(numerator, denominator)
-            if not psi.is_polynomial:
-                raise ReductionError(
-                    f"interpolation at {graph.label(vertex)} did not reduce: {psi.render()}"
-                )
-            value = psi.to_polynomial()
-            for j, eid in enumerate(descending):
-                if (value - values[below[j]]).divide_linear(weights[j]) is None:
-                    raise InternalConsistencyError(
-                        f"congruence fails along {graph.edges[eid].key()}"
+            if any(graph.edges[e].target in reached for e in descending):
+                reached.add(vertex)
+                values[vertex] = self._interpolate(vertex, descending, values)
+        witness = cocycle_witness(graph, values)
+        if witness is not None:
+            raise InternalConsistencyError(
+                f"Thom class of {graph.label(base)} is not a cocycle: {witness}"
+            )
+        result = CohomologyClass(graph, values, degree=pol.sigma[base])
+        self._classes[base] = result
+        return result
+
+    def _interpolate(
+        self, vertex: str, descending: Sequence[int], values: dict[str, Polynomial]
+    ) -> Polynomial:
+        """The f with rho_j(f) = rho_j(value below edge j) on every descending
+        edge j: the Newton form through the nodes ahat_j = alpha_j/alpha_j(xi),
+        evaluated at zero.  Its divided differences are exact quotients by
+        differences of nodes, so no rational expression appears."""
+        graph, pol = self.graph, self.pol
+        nodes = [graph.weight(e).scale(1 / pol.pairings[e]) for e in descending]
+        table = [
+            rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi) for e in descending
+        ]
+        # after round i, table[j] is the divided difference over nodes j-i..j
+        for i in range(1, len(nodes)):
+            for j in range(len(nodes) - 1, i - 1, -1):
+                quotient = (table[j] - table[j - 1]).divide_linear(nodes[j] - nodes[j - i])
+                if quotient is None:
+                    raise ReductionError(
+                        f"divided difference at {graph.label(vertex)} along "
+                        f"{graph.edges[descending[j - i]].key()} and "
+                        f"{graph.edges[descending[j]].key()} is not exact"
                     )
-            values[vertex] = value
-        return CohomologyClass(graph, values, degree=pol.sigma[base])
+                table[j] = quotient
+        value = table[-1]
+        for i in range(len(nodes) - 2, -1, -1):
+            value = table[i] - value * nodes[i]
+        return value
 
     def thom_class_minus(self, base: str) -> "CohomologyClass":
-        """Descending Thom class: the path-sum class for the reversed polarization."""
-        return self.reversed_calculator().thom_class_paths(base)
+        """Descending Thom class: the ascending class for the reversed polarization."""
+        return self.reversed_calculator().thom_class_inductive(base)
 
     def thom_basis(self) -> dict[str, "CohomologyClass"]:
-        return {v: self.thom_class_paths(v) for v in self.pol.vertices_by_level()}
+        return {v: self.thom_class_inductive(v) for v in self.pol.vertices_by_level()}
 
     # -- pairings and structure constants ------------------------------------
 
@@ -403,7 +424,7 @@ class ThomCalculator:
         the Morse function is self-indexing."""
         from .cohomology import integrate
 
-        return integrate(self.thom_class_paths(p) * self.thom_class_minus(q))
+        return integrate(self.thom_class_inductive(p) * self.thom_class_minus(q))
 
     def pairing_matrix(self) -> dict[tuple[str, str], Polynomial]:
         order = self.pol.vertices_by_level()
@@ -414,8 +435,8 @@ class ThomCalculator:
 
         Sums delta_t times the three path sums (p ascending to t, q
         ascending to t, r descending to t) over all vertices t, and checks
-        the result against the direct localization integral of
-        tau_p^+ tau_q^+ tau_r^-.
+        the result against the localization integral of tau_p^+ tau_q^+ tau_r^-
+        built from the interpolation engine's classes.
         """
         from .cohomology import integrate
 
@@ -438,7 +459,7 @@ class ThomCalculator:
             raise ReductionError(f"configuration sum for ({p},{q},{r}) did not reduce")
         value = total.to_polynomial()
         direct = integrate(
-            self.thom_class_paths(p) * self.thom_class_paths(q) * self.thom_class_minus(r)
+            self.thom_class_inductive(p) * self.thom_class_inductive(q) * self.thom_class_minus(r)
         )
         if value != direct:
             raise InternalConsistencyError(
@@ -473,9 +494,8 @@ class ThomCalculator:
                     )
             coefficients[vertex] = quotient
             if not quotient.is_zero:
-                tau = self.thom_class_paths(vertex)
-                for w in self.paths_from(vertex):
-                    residual[w] = residual[w] - quotient * tau.values[w]
+                for w, value in self.thom_class_inductive(vertex).values.items():
+                    residual[w] = residual[w] - quotient * value
         for vertex in order:
             if not residual[vertex].is_zero:
                 raise SpanError(f"expansion does not reconstruct the class at {vertex}")
@@ -483,7 +503,9 @@ class ThomCalculator:
 
     def multiplication_constants(self, p: str, q: str) -> dict[str, Polynomial]:
         """Coefficients c^r_pq of tau_p^+ tau_q^+ in the Thom basis."""
-        return self.expand_in_thom_basis(self.thom_class_paths(p) * self.thom_class_paths(q))
+        return self.expand_in_thom_basis(
+            self.thom_class_inductive(p) * self.thom_class_inductive(q)
+        )
 
 
 # ---------------------------------------------------------------------------

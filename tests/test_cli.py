@@ -22,7 +22,14 @@ class TestThomCommand:
 
     def test_inductive_agrees(self, capsys):
         code, out_paths, _ = run(
-            capsys, "thom", "--graph", "permutahedron:3", "--vertex", "(231)"
+            capsys,
+            "thom",
+            "--graph",
+            "permutahedron:3",
+            "--vertex",
+            "(231)",
+            "--algorithm",
+            "paths",
         )
         code2, out_inductive, _ = run(
             capsys,
@@ -88,15 +95,57 @@ class TestThomCommand:
         assert code == 0
         assert all(line.endswith(": 1") for line in out.strip().splitlines())
 
-    def test_table_worker_roundtrip(self):
-        # the process-pool worker used for large tables must be callable
-        # standalone and deterministic
-        from gkmcalc.cli import _table_column
+    def test_minus_honours_algorithm(self, capsys, monkeypatch):
+        from gkmcalc.thom import ThomCalculator
 
-        label, values = _table_column("permutahedron:3", None, "auto", "(12)")
+        argv = ["thom", "--graph", "permutahedron:3", "--vertex", "(12)", "--minus"]
+        by_paths = run(capsys, *argv, "--algorithm", "paths")
+        monkeypatch.setattr(ThomCalculator, "paths_from", None)
+        assert run(capsys, *argv, "--algorithm", "inductive") == by_paths
+        assert by_paths[0] == 0
+
+    def test_table_worker_roundtrip(self):
+        # the per-column renderer of the table command must be callable
+        # standalone and deterministic
+        from gkmcalc.cli import _names_and_convert, _table_column
+        from gkmcalc.builders import build_graph
+        from gkmcalc.graph import polarize
+        from gkmcalc.thom import ThomCalculator
+
+        graph = build_graph("permutahedron:3")
+        names, convert = _names_and_convert(graph, "auto")
+        base = graph.vertex_by_label("(12)")
+
+        def column():
+            return _table_column(ThomCalculator(polarize(graph)), names, convert, base)
+
+        label, values = column()
         assert label == "(12)"
         assert values["(13)"] == "-a1 - a2"
-        assert _table_column("permutahedron:3", None, "auto", "(12)")[1] == values
+        assert column()[1] == values
+
+
+class TestSingleEngine:
+    @pytest.fixture
+    def no_paths(self, monkeypatch):
+        from gkmcalc.thom import ThomCalculator
+
+        def refuse(self, start):
+            raise AssertionError("path enumeration reached from table or pair")
+
+        monkeypatch.setattr(ThomCalculator, "paths_from", refuse)
+
+    def test_table_without_paths(self, capsys, data_dir, no_paths):
+        code, out, _ = run(capsys, "table", "--graph", "permutahedron:3")
+        assert code == 0
+        assert out == (data_dir / "flag3_table.txt").read_text()
+
+    def test_pair_without_paths(self, capsys, no_paths):
+        code, out, _ = run(capsys, "pair", "--graph", "permutahedron:3", "--format", "structured")
+        assert code == 0
+        for key, value in json.loads(out)["matrix"].items():
+            p, q = key.split(",")
+            assert value == ("1" if p == q else "0")
 
 
 class TestBettiCommand:
@@ -273,6 +322,34 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "critical" in err + out
+
+    def test_malformed_graph_size(self, capsys):
+        code, out, err = run(capsys, "table", "--graph", "complete:abc")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("[FAIL] ") and len(err.strip().splitlines()) == 1
+
+    def test_missing_class_file(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "integrate",
+            "--graph",
+            "complete:3",
+            "--class-file",
+            str(tmp_path / "absent.json"),
+        )
+        assert code == 2
+        assert err.startswith("[FAIL] ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ['{"p1": "x1",', '["x1", "x2", "x3"]'])
+    def test_malformed_class_file(self, capsys, tmp_path, text):
+        path = tmp_path / "cls.json"
+        path.write_text(text)
+        code, out, err = run(
+            capsys, "integrate", "--graph", "complete:3", "--class-file", str(path)
+        )
+        assert code == 2
+        assert err.startswith("[FAIL] ") and len(err.strip().splitlines()) == 1
 
 
 class TestPolarizationFallback:

@@ -221,6 +221,16 @@ class TestRationalExpr:
         assert a * (b + c) == a * b + a * c
         assert (a - a).is_zero
 
+    def test_probe_prime_in_denominator(self):
+        # (x1 - x2) * (x1/P + x2) with P the GF(p) probe's prime: the
+        # coefficients 1/P and 1 - 1/P have no image mod P, so the probe must
+        # not refute the division
+        c = Fraction(1, 2**61 - 1)
+        quotient = X1.as_polynomial() * c + X2.as_polynomial()
+        expr = RationalExpr.make((X1 - X2).as_polynomial() * quotient, [X1 - X2])
+        assert expr.is_polynomial
+        assert expr.to_polynomial() == quotient
+
     def test_rendering(self):
         expr = RationalExpr.make(Polynomial.one(2), [(X1 - X2, 2)])
         assert expr.render() == "(1) / ((x1 - x2)^2)"

@@ -247,7 +247,7 @@ class TestPathWeight:
         graph = flag3_calc.graph
         pol = flag3_calc.pol
         top = max(graph.vertices, key=lambda v: pol.level(v))
-        tau = flag3_calc.thom_class_minus(top)
+        tau = flag3_calc.reversed_calculator().thom_class_paths(top)
         assert all(value == Polynomial.one(3) for value in tau.values.values())
 
     def test_empty_path_rejected(self, flag3_calc):
@@ -351,6 +351,19 @@ class TestThomClassInductive:
             if pol.level(vertex) < pol.level(base):
                 assert tau.values[vertex].is_zero
 
+    def test_agrees_with_paths_square_diagonal(self, data_dir):
+        graph = load_graph(data_dir / "square_diagonal.graph")
+        calc = ThomCalculator(polarize(graph))
+        for base in graph.vertices:
+            assert calc.thom_class_inductive(base) == calc.thom_class_paths(base)
+
+    @pytest.mark.parametrize("xi", [(1, 3, 7), (2, 5, 11)])
+    def test_agrees_with_paths_chamber_xi(self, xi):
+        graph = permutahedron(3)
+        calc = ThomCalculator(polarize(graph, xi))
+        for base in graph.vertices:
+            assert calc.thom_class_inductive(base) == calc.thom_class_paths(base)
+
     def test_agrees_with_paths_s4(self, s4_calc):
         # the 24-vertex Cayley graph: every base vertex, both algorithms
         for base in s4_calc.pol.vertices_by_level():
@@ -373,6 +386,14 @@ class TestThomMinus:
                 (graph.weight(e) for e in flag3_calc.pol.ascending_out(base)), 3
             )
             assert tau.values[base] == expected
+
+    @pytest.mark.parametrize("build", [lambda: permutahedron(3), lambda: complete_graph(5)])
+    def test_engine_agrees_with_reversed_paths(self, build):
+        graph = build()
+        calc = ThomCalculator(polarize(graph))
+        reversed_calc = calc.reversed_calculator()
+        for base in graph.vertices:
+            assert calc.thom_class_minus(base) == reversed_calc.thom_class_paths(base)
 
 
 class TestPairing:
