@@ -3,8 +3,8 @@
 
 Prints, for every pair of basis classes, the expansion of their product in
 the basis, computed two ways: by triangular expansion and by the
-configuration sums over triples of paths.  The two must agree (the
-calculator raises otherwise).
+localization integrals of the path-sum classes.  The two must agree (the
+script asserts it).
 """
 
 import sys
@@ -28,8 +28,7 @@ def main() -> int:
             for r in order:
                 if coefficients[r].is_zero:
                     continue
-                configuration = calc.structure_constant(p, q, r)
-                assert configuration == coefficients[r]
+                assert calc.structure_constant(p, q, r) == coefficients[r]
                 rendered = convert(coefficients[r]).render(names)
                 label = graph.label(r)
                 if rendered == "1":

@@ -50,7 +50,7 @@ from .interpolation import (
     lagrange_interpolate,
     vandermonde_inverse,
 )
-from .symbolic import LinearForm, Polynomial, RationalExpr, divides_linear, pair, rho
+from .symbolic import LinearForm, Polynomial, RationalExpr
 from .thom import ThomCalculator
 
 __all__ = [name for name in dir() if not name.startswith("_")]

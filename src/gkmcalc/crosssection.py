@@ -11,9 +11,15 @@ is the identity on persisting edges and, on the new block,
     T(j, a) = rho_{e_a}(prod_{k != j} alpha_{e_k})
             / rho_{e_j}(prod_{k != j} alpha_{e_k})
 
-over the descending edges e_k at the crossed vertex.  Columns sum to one
-exactly.  Composites equal the ascending-path weighted sums with weights
-Q(gamma); both are computed and compared.
+over the descending edges e_k at the crossed vertex, which is the transfer
+weight Q(e_j^{-1}, e_a) of ThomCalculator.q_pair.  Columns sum to one
+exactly.  Composed matrices are checked entry by entry against the
+ascending-path weighted sums with weights Q(gamma).
+
+Transporting one class needs no matrix: it runs on the Thom-class engine's
+flip-flop step, which interpolates the values on the descending edges of
+each crossed vertex by exact Newton divided differences and evaluates the
+interpolant psi on the ascending ones.
 """
 
 from __future__ import annotations
@@ -22,18 +28,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import GraphError, PolarizationError, ReductionError
+from .errors import GraphError, PolarizationError
 from .cohomology import CrossSectionClass, cut_edge_ids
 from .graph import Polarization
-from .symbolic import (
-    Polynomial,
-    RationalExpr,
-    RationalLike,
-    rat,
-    rho_form,
-    rho_poly,
-)
-from .thom import ThomCalculator
+from .symbolic import Polynomial, RationalExpr, RationalLike, rat, rho_poly
+from .thom import ThomCalculator, _flip_flop
 
 
 @dataclass(frozen=True)
@@ -126,26 +125,6 @@ class TransferMatrix:
                 entries[key] = product if current is None else current + product
         return TransferMatrix(self.source, later.target, entries)
 
-    def apply(self, F: CrossSectionClass) -> CrossSectionClass:
-        if tuple(sorted(F.values)) != tuple(sorted(self.source.cut)):
-            raise GraphError("class does not live on the source cross-section")
-        dim = self.source.polarization.graph.dimension
-        values: dict[int, Polynomial] = {}
-        for w in self.target.cut:
-            total = RationalExpr.zero(dim)
-            for v in self.source.cut:
-                entry = self.entries.get((v, w))
-                if entry is None or entry.is_zero:
-                    continue
-                total = total + entry * F.values[v]
-            if not total.is_polynomial:
-                raise ReductionError(
-                    "transferred value did not reduce to a polynomial; "
-                    "class is outside the admitted image"
-                )
-            values[w] = total.to_polynomial()
-        return CrossSectionClass(self.source.polarization, self.target.level, values)
-
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         graph = self.source.polarization.graph
         lines = [
@@ -172,8 +151,8 @@ def single_step_transfer(
     Persisting edges map by the identity.  When the crossed vertex has
     index zero there is no descending block and the created edges receive
     no entries (the seed of a new class is supplied externally); otherwise
-    the created block is the interpolation quotient above and its columns
-    sum to one exactly.
+    the created block is the quotient above, built by q_pair, and its
+    columns sum to one exactly.
     """
     low, high = rat(c), rat(c_prime)
     if low >= high:
@@ -187,25 +166,15 @@ def single_step_transfer(
         )
     vertex = crossed[0]
     graph = polarization.graph
-    dim = graph.dimension
-    one = RationalExpr.one(dim)
+    calc = ThomCalculator(polarization)
+    one = RationalExpr.one(graph.dimension)
     entries: dict[tuple[int, int], RationalExpr] = {}
-    persisting = set(source.cut) & set(target.cut)
-    for v in persisting:
+    for v in set(source.cut) & set(target.cut):
         entries[(v, v)] = one
-    descending = polarization.descending_out(vertex)
-    ascending = polarization.ascending_out(vertex)
-    weights = [graph.weight(e) for e in descending]
-    xi = polarization.xi
-    for j, down in enumerate(descending):
+    for down in polarization.descending_out(vertex):
         row_edge = graph.reverse(down)  # the cut edge arriving at the vertex
-        others = [w for k, w in enumerate(weights) if k != j]
-        denominator = [rho_form(w, weights[j], xi) for w in others]
-        for up in ascending:
-            numerator = Polynomial.product_of_forms(
-                (rho_form(w, graph.weight(up), xi) for w in others), dim
-            )
-            entries[(row_edge, up)] = RationalExpr.make(numerator, denominator)
+        for up in polarization.ascending_out(vertex):
+            entries[(row_edge, up)] = calc.q_pair(row_edge, up)
     return TransferMatrix(source, target, entries)
 
 
@@ -300,14 +269,13 @@ def _check_against_paths(polarization: Polarization, matrix: TransferMatrix) -> 
 
 def transport_class(F: CrossSectionClass, c_prime: RationalLike) -> CrossSectionClass:
     """Move a cross-section class to a higher regular level."""
-    matrix = compose_transfer(F.polarization, F.level, rat(c_prime))
-    return matrix.apply(F)
+    return transport_with_interpolants(F, c_prime)[0]
 
 
 def transport_with_interpolants(
     F: CrossSectionClass, c_prime: RationalLike
 ) -> tuple[CrossSectionClass, dict[str, Polynomial]]:
-    """Transport one step at a time, returning the flip-flop polynomial at
+    """Transport one vertex at a time, returning the flip-flop polynomial at
     each crossed vertex and checking it interpolates the incoming values.
 
     The polynomial psi at a crossed vertex satisfies rho_{e_j}(psi) = f(v_j)
@@ -318,42 +286,33 @@ def transport_with_interpolants(
 
     polarization = F.polarization
     graph = polarization.graph
-    dim = graph.dimension
-    high = rat(c_prime)
-    crossed = crossed_vertices(polarization, F.level, high)
+    xi = polarization.xi
+    low, high = F.level, rat(c_prime)
+    if low >= high:
+        raise PolarizationError("need c < c'")
+    if not polarization.is_regular(high):
+        raise PolarizationError(f"{high} is a critical value")
+    crossed = crossed_vertices(polarization, low, high)
     if any(polarization.sigma[v] == 0 for v in crossed):
-        raise PolarizationError("sweep crosses an index-zero vertex")
+        raise PolarizationError(
+            "sweep crosses an index-zero vertex; transfer is only defined above "
+            "the minimum (new classes are seeded, not transferred)"
+        )
+    if sorted(F.values) != list(cut_edge_ids(polarization, low)):
+        raise GraphError("class does not live on the source cross-section")
+    values = dict(F.values)
     interpolants: dict[str, Polynomial] = {}
-    current = F
-    for position, vertex in enumerate(crossed):
+    for vertex in crossed:
         descending = polarization.descending_out(vertex)
-        weights = [graph.weight(e) for e in descending]
-        xi = polarization.xi
-        psi_sum = RationalExpr.zero(dim)
-        for j, down in enumerate(descending):
-            cut_edge = graph.reverse(down)
-            others = [w for k, w in enumerate(weights) if k != j]
-            numerator = Polynomial.product_of_forms(others, dim) * current.values[cut_edge]
-            psi_sum = psi_sum + RationalExpr.make(
-                numerator, [rho_form(w, weights[j], xi) for w in others]
-            )
-        if not psi_sum.is_polynomial:
-            raise ReductionError(f"flip-flop interpolant at {graph.label(vertex)} not polynomial")
-        psi = psi_sum.to_polynomial()
-        for j, down in enumerate(descending):
-            cut_edge = graph.reverse(down)
-            if rho_poly(psi, weights[j], xi) != current.values[cut_edge]:
+        incoming = [values.pop(graph.reverse(e)) for e in descending]
+        psi = _flip_flop(polarization, vertex, descending, incoming)
+        for down, value in zip(descending, incoming):
+            if rho_poly(psi, graph.weight(down), xi) != value:
                 raise InternalConsistencyError(
                     f"interpolant at {graph.label(vertex)} misses the value on "
-                    f"{graph.edges[cut_edge].key()}"
+                    f"{graph.edges[graph.reverse(down)].key()}"
                 )
+        for up in polarization.ascending_out(vertex):
+            values[up] = rho_poly(psi, graph.weight(up), xi)
         interpolants[vertex] = psi
-        if position + 1 < len(crossed):
-            next_level = (
-                polarization.level(vertex) + polarization.level(crossed[position + 1])
-            ) / 2
-        else:
-            next_level = high
-        step = single_step_transfer(polarization, current.level, next_level)
-        current = step.apply(current)
-    return current, interpolants
+    return CrossSectionClass(polarization, high, values), interpolants

@@ -98,13 +98,8 @@ class GkmGraph:
             return 0
         return max(len(self._out[v]) for v in self.vertices)
 
-    d = valence
-
     def out_edges(self, vertex: str) -> tuple[int, ...]:
         return tuple(self._out[vertex])
-
-    def edge(self, eid: int) -> OrientedEdge:
-        return self.edges[eid]
 
     def reverse(self, eid: int) -> int:
         return self.edges[eid].reverse_id

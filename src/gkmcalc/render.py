@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import FormatError
 from .graph import GkmGraph
-from .symbolic import LinearForm, Polynomial, rat
+from .symbolic import LinearForm, Polynomial
 
 
 def root_basis_names(n: int) -> tuple[str, ...]:
@@ -69,65 +69,64 @@ _TOKEN = re.compile(
 
 
 def parse_polynomial(text: str, names: Sequence[str], dim: Optional[int] = None) -> Polynomial:
-    """Parse the canonical polynomial rendering back into a polynomial."""
+    """Parse the canonical polynomial rendering back into a polynomial.
+
+    The text is an optional sign and then terms joined by '+' or '-'; a term
+    is factors joined by '*'; a factor is a rational p or p/q, or a variable
+    with an optional ^power.  Anything else raises FormatError.
+    """
     if dim is None:
         dim = len(names)
     index = {name: i for i, name in enumerate(names)}
     text = text.strip()
-    if text == "0":
-        return Polynomial.zero(dim)
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
-    sign = Fraction(1)
-    sign_pending = False
-    coeff: Optional[Fraction] = None
-    expo = [0] * dim
+    total: dict = {}
+    coeff, expo = Fraction(1), [0] * dim
+    expect_factor = True
     position = 0
-    pending = False
 
-    def flush():
-        nonlocal coeff, expo, sign, pending
-        if not pending:
-            raise FormatError(f"dangling sign in polynomial {text!r}")
-        value = sign * (coeff if coeff is not None else Fraction(1))
-        terms.append((value, tuple(expo)))
-        coeff = None
-        expo = [0] * dim
-        sign = Fraction(1)
-        pending = False
+    def fail(problem: str) -> FormatError:
+        return FormatError(f"{problem} in polynomial {text!r} at position {position}")
+
+    def add_term() -> None:
+        key = tuple(expo)
+        value = total.get(key, Fraction(0)) + coeff
+        if value == 0:
+            total.pop(key, None)
+        else:
+            total[key] = value
 
     while position < len(text):
         match = _TOKEN.match(text, position)
-        if not match or match.end() == position:
-            raise FormatError(f"cannot parse polynomial {text!r} at position {position}")
-        position = match.end()
+        if not match:
+            raise fail("unexpected character")
         if match["sign"]:
-            if pending:
-                flush()
-            elif sign_pending:
-                raise FormatError(f"doubled sign in polynomial {text!r}")
-            sign = Fraction(1) if match["sign"] == "+" else Fraction(-1)
-            sign_pending = True
-        elif match["rational"]:
-            coeff = rat(match["rational"]) if coeff is None else coeff * rat(match["rational"])
-            pending = True
-            sign_pending = False
-        elif match["name"]:
-            name = match["name"]
-            if name not in index:
-                raise FormatError(f"unknown variable {name!r} in polynomial {text!r}")
-            expo[index[name]] += int(match["power"] or 1)
-            pending = True
-            sign_pending = False
-        # '*' tokens just separate factors
-    if pending:
-        flush()
-    total: dict = {}
-    for value, exponent in terms:
-        current = total.get(exponent, Fraction(0)) + value
-        if current == 0:
-            total.pop(exponent, None)
+            if expect_factor and position > 0:
+                raise fail("missing term")
+            if not expect_factor:
+                add_term()
+            coeff, expo = Fraction(1 if match["sign"] == "+" else -1), [0] * dim
+            expect_factor = True
+        elif match["star"]:
+            if expect_factor:
+                raise fail("missing factor")
+            expect_factor = True
         else:
-            total[exponent] = current
+            if not expect_factor:
+                raise fail("missing '*'")
+            if match["rational"]:
+                try:
+                    coeff *= Fraction(match["rational"])
+                except ZeroDivisionError:
+                    raise fail("zero denominator") from None
+            elif match["name"] in index:
+                expo[index[match["name"]]] += int(match["power"] or 1)
+            else:
+                raise FormatError(f"unknown variable {match['name']!r} in polynomial {text!r}")
+            expect_factor = False
+        position = match.end()
+    if expect_factor:
+        raise fail("unexpected end")
+    add_term()
     return Polynomial(dim, total)
 
 

@@ -156,11 +156,6 @@ class LinearForm:
         return self.render()
 
 
-def pair(form: LinearForm, xi: Sequence[RationalLike]) -> Fraction:
-    """Evaluate a weight on a polarizing vector: alpha_e(xi)."""
-    return form.pair(xi)
-
-
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -496,11 +491,6 @@ class Polynomial:
         return f"Polynomial({self.render()})"
 
 
-def divides_linear(form: LinearForm, poly: Polynomial) -> Optional[Polynomial]:
-    """Exact divisibility test used by the cocycle condition."""
-    return poly.divide_linear(form)
-
-
 # ---------------------------------------------------------------------------
 # the projection killing the xi-direction
 
@@ -529,11 +519,6 @@ def rho_poly(poly: Polynomial, edge_weight: LinearForm, xi: Sequence[RationalLik
         base = LinearForm.basis(i, n)
         forms.append(base - edge_weight.scale(values[i] / denom))
     return poly.substitute(forms)
-
-
-def rho(edge_weight: LinearForm, xi: Sequence[RationalLike], poly: Polynomial) -> Polynomial:
-    """Operation-order variant of :func:`rho_poly` (weight first)."""
-    return rho_poly(poly, edge_weight, xi)
 
 
 # ---------------------------------------------------------------------------

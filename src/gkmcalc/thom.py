@@ -2,10 +2,12 @@
 
 Each route has one job.  Classes come from one engine, thom_class_inductive
 (Newton interpolation over descending edges, exact division only); tau^-,
-pairings, the Thom basis and expansions in it all use it.  The path sums of
-thom_class_paths are its independent verifier.  Structure constants c_pq^r
-are configuration sums over triples of paths, checked against the
-localization integral of the engine's classes.
+pairings, the Thom basis and expansions in it all use it.  Its step, the
+flip-flop at one vertex, is _flip_flop, which cross-section transport shares.
+The path sums of thom_class_paths are its independent verifier.  Structure
+constants c_pq^r are the localization integral of the path classes
+tau_p^+ tau_q^+ tau_r^-, checked against the same integral of the engine's
+classes.
 
 For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
@@ -95,8 +97,9 @@ class ThomCalculator:
 
     def reversed_calculator(self) -> "ThomCalculator":
         if self._reversed is None:
+            # no link back: without reference cycles a calculator and its
+            # caches are freed as soon as the last reference goes
             self._reversed = ThomCalculator(self.pol.reversed())
-            self._reversed._reversed = self
         return self._reversed
 
     # -- ascending paths ---------------------------------------------------
@@ -105,23 +108,20 @@ class ThomCalculator:
         """All ascending paths out of a vertex, grouped by endpoint.
 
         Exhaustive depth-first enumeration over the ascending orientation
-        (a DAG, so paths never revisit a vertex); the empty path at the
-        start vertex is included.
+        (a DAG, so paths never revisit a vertex) with an explicit stack, in
+        preorder; the empty path at the start vertex is included.
         """
         cached = self._paths.get(start)
         if cached is not None:
             return cached
         result: dict[str, list[Path]] = {}
-        trail: list[int] = []
-
-        def visit(vertex: str) -> None:
-            result.setdefault(vertex, []).append(tuple(trail))
-            for eid in self.pol.ascending_out(vertex):
-                trail.append(eid)
-                visit(self.graph.edges[eid].target)
-                trail.pop()
-
-        visit(start)
+        stack: list[tuple[str, Path]] = [(start, ())]
+        while stack:
+            vertex, path = stack.pop()
+            result.setdefault(vertex, []).append(path)
+            # pushed in reverse so that edges are explored in their order
+            for eid in reversed(self.pol.ascending_out(vertex)):
+                stack.append((self.graph.edges[eid].target, path + (eid,)))
         self._paths[start] = result
         return result
 
@@ -372,7 +372,11 @@ class ThomCalculator:
             descending = pol.descending_out(vertex)
             if any(graph.edges[e].target in reached for e in descending):
                 reached.add(vertex)
-                values[vertex] = self._interpolate(vertex, descending, values)
+                incoming = [
+                    rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi)
+                    for e in descending
+                ]
+                values[vertex] = _flip_flop(pol, vertex, descending, incoming)
         witness = cocycle_witness(graph, values)
         if witness is not None:
             raise InternalConsistencyError(
@@ -381,34 +385,6 @@ class ThomCalculator:
         result = CohomologyClass(graph, values, degree=pol.sigma[base])
         self._classes[base] = result
         return result
-
-    def _interpolate(
-        self, vertex: str, descending: Sequence[int], values: dict[str, Polynomial]
-    ) -> Polynomial:
-        """The f with rho_j(f) = rho_j(value below edge j) on every descending
-        edge j: the Newton form through the nodes ahat_j = alpha_j/alpha_j(xi),
-        evaluated at zero.  Its divided differences are exact quotients by
-        differences of nodes, so no rational expression appears."""
-        graph, pol = self.graph, self.pol
-        nodes = [graph.weight(e).scale(1 / pol.pairings[e]) for e in descending]
-        table = [
-            rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi) for e in descending
-        ]
-        # after round i, table[j] is the divided difference over nodes j-i..j
-        for i in range(1, len(nodes)):
-            for j in range(len(nodes) - 1, i - 1, -1):
-                quotient = (table[j] - table[j - 1]).divide_linear(nodes[j] - nodes[j - i])
-                if quotient is None:
-                    raise ReductionError(
-                        f"divided difference at {graph.label(vertex)} along "
-                        f"{graph.edges[descending[j - i]].key()} and "
-                        f"{graph.edges[descending[j]].key()} is not exact"
-                    )
-                table[j] = quotient
-        value = table[-1]
-        for i in range(len(nodes) - 2, -1, -1):
-            value = table[i] - value * nodes[i]
-        return value
 
     def thom_class_minus(self, base: str) -> "CohomologyClass":
         """Descending Thom class: the ascending class for the reversed polarization."""
@@ -431,39 +407,21 @@ class ThomCalculator:
         return {(p, q): self.pairing(p, q) for p in order for q in order}
 
     def structure_constant(self, p: str, q: str, r: str) -> Polynomial:
-        """c_pqr as a sum over triple path configurations.
-
-        Sums delta_t times the three path sums (p ascending to t, q
-        ascending to t, r descending to t) over all vertices t, and checks
-        the result against the localization integral of tau_p^+ tau_q^+ tau_r^-
-        built from the interpolation engine's classes.
-        """
+        """c_pqr as the localization integral of tau_p^+ tau_q^+ tau_r^- built
+        from the path-sum classes, checked against the same integral of the
+        interpolation engine's classes."""
         from .cohomology import integrate
 
-        graph = self.graph
         rev = self.reversed_calculator()
-        total = RationalExpr.zero(graph.dimension)
-        for t in graph.vertices:
-            up_p = self.path_sum(p, t)
-            if up_p.is_zero:
-                continue
-            up_q = self.path_sum(q, t)
-            if up_q.is_zero:
-                continue
-            down_r = rev.path_sum(r, t)
-            if down_r.is_zero:
-                continue
-            volume = [graph.weight(e) for e in graph.out_edges(t)]
-            total = total + (up_p * up_q * down_r).div_forms(volume)
-        if not total.is_polynomial:
-            raise ReductionError(f"configuration sum for ({p},{q},{r}) did not reduce")
-        value = total.to_polynomial()
+        value = integrate(
+            self.thom_class_paths(p) * self.thom_class_paths(q) * rev.thom_class_paths(r)
+        )
         direct = integrate(
             self.thom_class_inductive(p) * self.thom_class_inductive(q) * self.thom_class_minus(r)
         )
         if value != direct:
             raise InternalConsistencyError(
-                f"configuration sum and localization integral disagree for ({p},{q},{r})"
+                f"path-sum and engine integrals disagree for ({p},{q},{r})"
             )
         return value
 
@@ -506,6 +464,34 @@ class ThomCalculator:
         return self.expand_in_thom_basis(
             self.thom_class_inductive(p) * self.thom_class_inductive(q)
         )
+
+
+def _flip_flop(
+    pol: Polarization, vertex: str, descending: Sequence[int], values: Sequence[Polynomial]
+) -> Polynomial:
+    """The flip-flop psi at a vertex: rho_j(psi) = values[j] on every
+    descending edge j, as the Newton form through the nodes
+    ahat_j = alpha_j/alpha_j(xi), evaluated at zero.  Its divided differences
+    are exact quotients by differences of nodes, so no rational expression
+    appears; an inexact one raises ReductionError naming both edges."""
+    graph = pol.graph
+    nodes = [graph.weight(e).scale(1 / pol.pairings[e]) for e in descending]
+    table = list(values)
+    # after round i, table[j] is the divided difference over nodes j-i..j
+    for i in range(1, len(nodes)):
+        for j in range(len(nodes) - 1, i - 1, -1):
+            quotient = (table[j] - table[j - 1]).divide_linear(nodes[j] - nodes[j - i])
+            if quotient is None:
+                raise ReductionError(
+                    f"divided difference at {graph.label(vertex)} along "
+                    f"{graph.edges[descending[j - i]].key()} and "
+                    f"{graph.edges[descending[j]].key()} is not exact"
+                )
+            table[j] = quotient
+    value = table[-1]
+    for i in range(len(nodes) - 2, -1, -1):
+        value = table[i] - value * nodes[i]
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_criterion_07_structure_constant_routes(flag3_calc):
                 ok = ok and expansion[r] == flag3_calc.structure_constant(p, q, r)
     elapsed = time.perf_counter() - start
     report(
-        "criterion 7: expansion coefficients equal configuration sums",
+        "criterion 7: expansion coefficients equal path-class integrals",
         ok and elapsed < 30.0,
         f"216 triples in {elapsed:.1f}s",
     )

@@ -227,6 +227,24 @@ class TestStructconstCommand:
         assert "c[(12),(23) -> (231)] = 1" in out
         assert "MISMATCH" not in out
 
+    def test_no_path_weighed_twice(self, capsys, monkeypatch):
+        from gkmcalc.thom import ThomCalculator
+
+        weighed = []
+        original = ThomCalculator.path_weight
+
+        def recording(self, path):
+            weighed.append((id(self), tuple(path)))
+            return original(self, path)
+
+        monkeypatch.setattr(ThomCalculator, "path_weight", recording)
+        code, _, _ = run(
+            capsys, "structconst", "--graph", "permutahedron:3", "--p", "(12)", "--q", "1"
+        )
+        assert code == 0
+        assert weighed
+        assert len(set(weighed)) == len(weighed)
+
 
 class TestTransferCommand:
     def test_markov_reported(self, capsys):

@@ -13,7 +13,7 @@ from gkmcalc.crosssection import (
     transport_class,
     transport_with_interpolants,
 )
-from gkmcalc.errors import PolarizationError
+from gkmcalc.errors import PolarizationError, ReductionError
 from gkmcalc.graph import polarize
 from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr
 from gkmcalc.thom import ThomCalculator
@@ -245,6 +245,42 @@ class TestTransport:
             seed = kirwan(tau, pol, starts[0])
             for target in starts[1:]:
                 assert transport_class(seed, target) == kirwan(tau, pol, target)
+
+    def test_transport_matches_kirwan_s4(self, s4_calc):
+        pol = s4_calc.pol
+        levels = chamber_levels(pol)
+        for base in pol.vertices_by_level():
+            starts = [c for c in levels if c > pol.level(base)]
+            tau = s4_calc.thom_class_inductive(base)
+            moved = kirwan(tau, pol, starts[0])
+            for target in starts[1:]:
+                # each step transports the previous step's output
+                moved = transport_class(moved, target)
+                assert moved == kirwan(tau, pol, target)
+
+    def test_inexact_flip_flop_names_vertex_and_edges(self, flag3_calc):
+        pol = flag3_calc.pol
+        graph = pol.graph
+        vertex = graph.vertex_by_label("(231)")
+        descending = pol.descending_out(vertex)
+        assert len(descending) == 2
+        level = pol.level(vertex)
+        seed = kirwan(flag3_calc.thom_class_inductive(vertex), pol, level - Fraction(1, 50))
+        values = dict(seed.values)
+        values[graph.reverse(descending[0])] += 1
+        broken = type(seed)(pol, seed.level, values)
+        with pytest.raises(ReductionError) as caught:
+            transport_class(broken, level + Fraction(1, 50))
+        message = str(caught.value)
+        assert "(231)" in message
+        for down in descending:
+            assert graph.edges[down].key() in message
+
+    def test_critical_target_rejected(self, flag3_pol):
+        levels = chamber_levels(flag3_pol)
+        seed = kirwan(constant_class(flag3_pol.graph), flag3_pol, levels[1])
+        with pytest.raises(PolarizationError):
+            transport_class(seed, flag3_pol.critical_levels()[2])
 
     def test_interpolants_are_class_values(self, flag3_calc):
         # the flip-flop polynomial at each crossed vertex is exactly the

@@ -57,6 +57,11 @@ class TestParseRoundTrip:
         with pytest.raises(FormatError):
             parse_polynomial("x1 + + 2", ("x1",))
 
+    @pytest.mark.parametrize("text", ["", "x1 +", "x1*", "x1**x2", "x1 x2", "3x1"])
+    def test_malformed_rejected(self, text):
+        with pytest.raises(FormatError):
+            parse_polynomial(text, ("x1", "x2"))
+
 
 class TestRootBasis:
     def test_simple_roots_map_to_generators(self):
