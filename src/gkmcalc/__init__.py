@@ -39,7 +39,6 @@ from .graph import (
     betti,
     check_generic,
     longest_path_morse,
-    orient,
     polarize,
     search_polarization,
     totally_geodesic_subgraph,

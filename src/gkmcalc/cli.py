@@ -93,15 +93,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_betti(args) -> int:
-    graph = _build_graph(args.graph)
-    xi = _parse_xi(args.xi)
-    if xi is None:
-        xi = graph.default_xi
-    if xi is None:
-        from .graph import search_polarization
-
-        xi = search_polarization(graph)
-    numbers = betti(graph, xi)
+    numbers = betti(_build_graph(args.graph), _parse_xi(args.xi))
     _emit(args, " ".join(str(b) for b in numbers), {"betti": list(numbers)})
     return 0
 

@@ -143,6 +143,25 @@ class TransferMatrix:
         return "\n".join(lines)
 
 
+def _sweep(
+    polarization: Polarization, c: RationalLike, c_prime: RationalLike
+) -> tuple[Fraction, Fraction, list[str]]:
+    """The levels and crossed vertices of a sweep from c up to c', both regular."""
+    low, high = rat(c), rat(c_prime)
+    if low >= high:
+        raise PolarizationError("need c < c'")
+    for value in (low, high):
+        if not polarization.is_regular(value):
+            raise PolarizationError(f"{value} is a critical value")
+    crossed = crossed_vertices(polarization, low, high)
+    if any(polarization.sigma[v] == 0 for v in crossed):
+        raise PolarizationError(
+            "sweep crosses an index-zero vertex; transfer is only defined above "
+            "the minimum (new classes are seeded, not transferred)"
+        )
+    return low, high, crossed
+
+
 def single_step_transfer(
     polarization: Polarization, c: RationalLike, c_prime: RationalLike
 ) -> TransferMatrix:
@@ -189,24 +208,23 @@ def _transfer_by_paths(
     """
     graph = polarization.graph
     calc = ThomCalculator(polarization)
-    low, high = source.level, target.level
+    high = target.level
     dim = graph.dimension
     entries: dict[tuple[int, int], RationalExpr] = {}
-
-    def record(v: int, w: int, value: RationalExpr) -> None:
-        current = entries.get((v, w))
-        entries[(v, w)] = value if current is None else current + value
-
-    def extend(start: int, eid: int, weight: RationalExpr) -> None:
+    # (start, last edge, Q of the prefix), pushed in reverse for preorder
+    stack = [(v, v, RationalExpr.one(dim)) for v in reversed(source.cut)]
+    while stack:
+        start, eid, weight = stack.pop()
         head = graph.edges[eid].target
         if polarization.level(head) > high:
-            record(start, eid, weight)
-            return
-        for nxt in polarization.ascending_out(head):
-            extend(start, nxt, weight * calc.q_pair(eid, nxt))
-
-    for v in source.cut:
-        extend(v, v, RationalExpr.one(dim))
+            current = entries.get((start, eid))
+            entries[(start, eid)] = weight if current is None else current + weight
+            continue
+        steps = [
+            (start, nxt, weight * calc.q_pair(eid, nxt))
+            for nxt in polarization.ascending_out(head)
+        ]
+        stack.extend(reversed(steps))
     return entries
 
 
@@ -218,18 +236,7 @@ def compose_transfer(
     The product of the single steps is compared entry-by-entry with the
     ascending-path weighted sum; the two must agree exactly.
     """
-    low, high = rat(c), rat(c_prime)
-    if low >= high:
-        raise PolarizationError("need c < c'")
-    for value in (low, high):
-        if not polarization.is_regular(value):
-            raise PolarizationError(f"{value} is a critical value")
-    crossed = crossed_vertices(polarization, low, high)
-    if any(polarization.sigma[v] == 0 for v in crossed):
-        raise PolarizationError(
-            "sweep crosses an index-zero vertex; transfer is only defined above "
-            "the minimum (new classes are seeded, not transferred)"
-        )
+    low, high, crossed = _sweep(polarization, c, c_prime)
     matrix: Optional[TransferMatrix] = None
     if crossed:
         levels = [low]
@@ -287,17 +294,7 @@ def transport_with_interpolants(
     polarization = F.polarization
     graph = polarization.graph
     xi = polarization.xi
-    low, high = F.level, rat(c_prime)
-    if low >= high:
-        raise PolarizationError("need c < c'")
-    if not polarization.is_regular(high):
-        raise PolarizationError(f"{high} is a critical value")
-    crossed = crossed_vertices(polarization, low, high)
-    if any(polarization.sigma[v] == 0 for v in crossed):
-        raise PolarizationError(
-            "sweep crosses an index-zero vertex; transfer is only defined above "
-            "the minimum (new classes are seeded, not transferred)"
-        )
+    low, high, crossed = _sweep(polarization, F.level, c_prime)
     if sorted(F.values) != list(cut_edge_ids(polarization, low)):
         raise GraphError("class does not live on the source cross-section")
     values = dict(F.values)

@@ -7,10 +7,11 @@ bijection theta_e between the edge stars of its endpoints satisfying
 theta_ebar = theta_e^{-1}, theta_e(e) = ebar and the compatibility rule
 alpha_{theta_e(e')} = alpha_{e'} + c * alpha_e with rational c.
 
-A polarization is a vector xi pairing nonzero with every weight; it orients
-edges (ascending when the pairing is positive), defines the index sigma_p
-(number of descending edges at p) and, when the ascending relation is
-acyclic, a Morse function phi that strictly increases along ascending edges.
+A polarization is a vector xi pairing nonzero with every weight, with no
+ascending loop and one vertex of index zero per component.  It orients edges
+(ascending when the pairing is positive), defines the index sigma_p (number
+of descending edges at p) and a Morse function phi that strictly increases
+along ascending edges; longest_path_morse builds all of it at once.
 """
 
 from __future__ import annotations
@@ -267,16 +268,18 @@ def _proportionality_ratio(form: LinearForm, base: LinearForm) -> Fraction:
 # polarizations
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polarization:
-    """Orientation data induced by a vector xi with all pairings nonzero."""
+    """Orientation, indices and Morse function phi induced by a vector xi.
+
+    Built only by longest_path_morse, which checks every condition."""
 
     graph: GkmGraph
     xi: tuple[Fraction, ...]
     pairings: dict[int, Fraction]
     sigma: dict[str, int]
-    phi: Optional[dict[str, Fraction]] = None
-    self_indexing: Optional[bool] = None
+    phi: dict[str, Fraction]
+    self_indexing: bool
 
     def sign(self, eid: int) -> int:
         return 1 if self.pairings[eid] > 0 else -1
@@ -291,14 +294,10 @@ class Polarization:
         return tuple(e for e in self.graph.out_edges(vertex) if not self.ascending(e))
 
     def level(self, vertex: str) -> Fraction:
-        if self.phi is None:
-            raise PolarizationError("no Morse function attached; use longest_path_morse")
         return self.phi[vertex]
 
     def vertices_by_level(self) -> list[str]:
-        if self.phi is None:
-            raise PolarizationError("no Morse function attached; use longest_path_morse")
-        return sorted(self.graph.vertices, key=lambda v: self.phi[v])
+        return sorted(self.graph.vertices, key=self.phi.__getitem__)
 
     def minimum_vertices(self) -> list[str]:
         return [v for v in self.graph.vertices if self.sigma[v] == 0]
@@ -307,8 +306,6 @@ class Polarization:
         return longest_path_morse(self.graph, tuple(-x for x in self.xi))
 
     def critical_levels(self) -> list[Fraction]:
-        if self.phi is None:
-            raise PolarizationError("no Morse function attached")
         return sorted(self.phi.values())
 
     def is_regular(self, c: RationalLike) -> bool:
@@ -316,8 +313,44 @@ class Polarization:
         return all(value != level for level in self.critical_levels())
 
 
-def orient(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarization:
-    """Orient the graph by xi; fails on zero pairings or ascending loops."""
+def _longest_ascending_paths(graph: GkmGraph, pairings: dict[int, Fraction]) -> dict[str, int]:
+    """Longest ascending path ending at each vertex, by Kahn's algorithm: a
+    vertex leaves the queue after all its predecessors, so its length is final
+    when it relaxes its ascending edges.  Raises on an ascending loop."""
+    indegree = {v: 0 for v in graph.vertices}
+    for edge in graph.edges:
+        if pairings[edge.eid] > 0:
+            indegree[edge.target] += 1
+    longest = {v: 0 for v in graph.vertices}
+    queue = [v for v in graph.vertices if indegree[v] == 0]
+    done = 0
+    while queue:
+        v = queue.pop()
+        done += 1
+        for eid in graph.out_edges(v):
+            if pairings[eid] > 0:
+                w = graph.edges[eid].target
+                longest[w] = max(longest[w], longest[v] + 1)
+                indegree[w] -= 1
+                if indegree[w] == 0:
+                    queue.append(w)
+    if done != len(graph.vertices):
+        raise PolarizationError("ascending loop: no Morse function exists for this xi")
+    return longest
+
+
+def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarization:
+    """The polarization of the graph by xi, with its Morse function.
+
+    Fails on a wrong length of xi, a zero pairing, an ascending loop, or a
+    component with other than one vertex of index zero.
+
+    phi(p) = L(p) + rank(p)/(|V|+1) where L(p) is the length of the longest
+    ascending path ending at p and rank is the position of the vertex name
+    in sorted order; the fractional part makes phi injective while keeping
+    it strictly increasing along ascending edges.  The polarization is
+    self-indexing when L == sigma everywhere.
+    """
     vector = rat_vector(xi)
     if len(vector) != graph.dimension:
         raise PolarizationError(
@@ -334,52 +367,10 @@ def orient(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarization:
     sigma = {
         v: sum(1 for e in graph.out_edges(v) if pairings[e] < 0) for v in graph.vertices
     }
-    _check_acyclic(graph, pairings)
-    return Polarization(graph, vector, pairings, sigma)
-
-
-def _check_acyclic(graph: GkmGraph, pairings: dict[int, Fraction]) -> list[str]:
-    """Kahn's algorithm on the ascending orientation; returns a topological order."""
-    indegree = {v: 0 for v in graph.vertices}
-    for edge in graph.edges:
-        if pairings[edge.eid] > 0:
-            indegree[edge.target] += 1
-    queue = [v for v in graph.vertices if indegree[v] == 0]
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for eid in graph.out_edges(v):
-            if pairings[eid] > 0:
-                w = graph.edges[eid].target
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    queue.append(w)
-    if len(order) != len(graph.vertices):
-        raise PolarizationError("ascending loop: no Morse function exists for this xi")
-    return order
-
-
-def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarization:
-    """Attach the longest-ascending-path Morse function to a polarization.
-
-    phi(p) = L(p) + rank(p)/(|V|+1) where L(p) is the length of the longest
-    ascending path ending at p and rank is the position of the vertex name
-    in sorted order; the fractional part makes phi injective while keeping
-    it strictly increasing along ascending edges.  The polarization is
-    self-indexing when L == sigma everywhere.
-    """
-    pol = orient(graph, xi)
-    order = _check_acyclic(graph, pol.pairings)
-    longest = {v: 0 for v in graph.vertices}
-    for v in order:
-        for eid in graph.out_edges(v):
-            if pol.pairings[eid] > 0:
-                w = graph.edges[eid].target
-                longest[w] = max(longest[w], longest[v] + 1)
+    longest = _longest_ascending_paths(graph, pairings)
 
     for comp in graph.components():
-        minima = [v for v in comp if pol.sigma[v] == 0]
+        minima = [v for v in comp if sigma[v] == 0]
         if len(minima) != 1 and len(comp) > 1:
             raise PolarizationError(
                 f"component {comp} has {len(minima)} vertices of index zero; expected one"
@@ -388,9 +379,8 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
     rank = {v: i for i, v in enumerate(sorted(graph.vertices))}
     denom = len(graph.vertices) + 1
     phi = {v: longest[v] + Fraction(rank[v], denom) for v in graph.vertices}
-    pol.phi = phi
-    pol.self_indexing = all(longest[v] == pol.sigma[v] for v in graph.vertices)
-    return pol
+    self_indexing = all(longest[v] == sigma[v] for v in graph.vertices)
+    return Polarization(graph, vector, pairings, sigma, phi, self_indexing)
 
 
 def polarize(graph: GkmGraph, xi: Optional[Sequence[RationalLike]] = None) -> Polarization:
@@ -402,12 +392,14 @@ def polarize(graph: GkmGraph, xi: Optional[Sequence[RationalLike]] = None) -> Po
     return longest_path_morse(graph, xi)
 
 
-def betti(graph: GkmGraph, xi: Sequence[RationalLike]) -> tuple[int, ...]:
-    """Betti numbers b_0..b_d: vertex counts by index; xi-independent."""
-    pol = orient(graph, xi)
+def betti(graph: GkmGraph, xi: Optional[Sequence[RationalLike]] = None) -> tuple[int, ...]:
+    """Betti numbers b_0..b_d: vertex counts by index; xi-independent.
+
+    xi defaults as in polarize."""
+    sigma = polarize(graph, xi).sigma
     counts = [0] * (graph.valence + 1)
     for v in graph.vertices:
-        counts[pol.sigma[v]] += 1
+        counts[sigma[v]] += 1
     return tuple(counts)
 
 
@@ -442,9 +434,8 @@ def search_polarization(
     """Deterministic search for a polarizing vector with small integer entries.
 
     Enumerates integer vectors by increasing max-norm (lexicographic within a
-    shell) and returns the first one that pairs nonzero with every weight,
-    induces no ascending loop and, when requested, passes the genericity
-    check at every vertex.
+    shell) and returns the first one that longest_path_morse accepts and,
+    when requested, that passes the genericity check at every vertex.
     """
     n = graph.dimension
     for norm in range(1, max_norm + 1):
@@ -453,7 +444,7 @@ def search_polarization(
                 continue
             vector = rat_vector(candidate)
             try:
-                orient(graph, vector)
+                longest_path_morse(graph, vector)
             except PolarizationError:
                 continue
             if require_generic and not all(

@@ -18,6 +18,7 @@ No floating point appears anywhere; coefficients are `fractions.Fraction`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -535,17 +536,11 @@ DenFactor = tuple[LinearForm, int]
 # coefficient whose denominator p divides has no image in GF(p); the probe
 # is then inconclusive as well.
 _PROBE_PRIME = (1 << 61) - 1
-_probe_cache: dict[LinearForm, Optional[tuple[int, ...]]] = {}
-_inverse_cache: dict[int, int] = {}
 
 
+@functools.lru_cache(maxsize=4096)
 def _mod_inverse(value: int) -> int:
-    key = value % _PROBE_PRIME
-    inverse = _inverse_cache.get(key)
-    if inverse is None:
-        inverse = pow(key, _PROBE_PRIME - 2, _PROBE_PRIME)
-        _inverse_cache[key] = inverse
-    return inverse
+    return pow(value, _PROBE_PRIME - 2, _PROBE_PRIME)
 
 
 def _mod_value(value: Fraction) -> Optional[int]:
@@ -556,21 +551,18 @@ def _mod_value(value: Fraction) -> Optional[int]:
     return value.numerator % _PROBE_PRIME * _mod_inverse(denominator) % _PROBE_PRIME
 
 
+@functools.lru_cache(maxsize=4096)
 def _probe_point(form: LinearForm) -> Optional[tuple[int, ...]]:
     """A point of the form's zero hyperplane in GF(p), or None when the form
     has no nonzero image there."""
-    if form in _probe_cache:
-        return _probe_cache[form]
     j = next(i for i, c in enumerate(form.coeffs) if c != 0)
     images = [_mod_value(c) for c in form.coeffs]
-    point = None
-    if None not in images and images[j] != 0:
-        values = [10007 + 101 * i for i in range(form.dim)]
-        rest = sum(images[i] * values[i] for i in range(form.dim) if i != j)
-        values[j] = -rest * _mod_inverse(images[j]) % _PROBE_PRIME
-        point = tuple(v % _PROBE_PRIME for v in values)
-    _probe_cache[form] = point
-    return point
+    if None in images or images[j] == 0:
+        return None
+    values = [10007 + 101 * i for i in range(form.dim)]
+    rest = sum(images[i] * values[i] for i in range(form.dim) if i != j)
+    values[j] = -rest * _mod_inverse(images[j]) % _PROBE_PRIME
+    return tuple(v % _PROBE_PRIME for v in values)
 
 
 def _maybe_divisible(poly: Polynomial, form: LinearForm) -> bool:

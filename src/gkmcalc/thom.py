@@ -63,8 +63,6 @@ class ThomCalculator:
     """All path-sum computations for one polarized graph, with caching."""
 
     def __init__(self, polarization: Polarization):
-        if polarization.phi is None:
-            raise GraphError("polarization must carry a Morse function")
         self.pol = polarization
         self.graph = polarization.graph
         self._nu: dict[str, Polynomial] = {}

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gkmcalc.builders import complete_graph, permutahedron
-from gkmcalc.cohomology import constant_class, kirwan
+from gkmcalc.cohomology import CrossSectionClass, constant_class, kirwan
 from gkmcalc.crosssection import (
     chamber_levels,
     compose_transfer,
@@ -281,6 +281,10 @@ class TestTransport:
         seed = kirwan(constant_class(flag3_pol.graph), flag3_pol, levels[1])
         with pytest.raises(PolarizationError):
             transport_class(seed, flag3_pol.critical_levels()[2])
+        # a class recorded at a critical level cannot be moved either
+        at_vertex = CrossSectionClass(flag3_pol, flag3_pol.critical_levels()[1], seed.values)
+        with pytest.raises(PolarizationError):
+            transport_class(at_vertex, levels[-1])
 
     def test_interpolants_are_class_values(self, flag3_calc):
         # the flip-flop polynomial at each crossed vertex is exactly the

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from gkmcalc.graph import (
     betti,
     check_generic,
     longest_path_morse,
-    orient,
     polarize,
     search_polarization,
     totally_geodesic_subgraph,
@@ -78,31 +78,31 @@ class TestValidate:
 class TestOrient:
     def test_complete_graph_indices(self):
         graph = complete_graph(4)
-        pol = orient(graph, graph.default_xi)
+        pol = longest_path_morse(graph, graph.default_xi)
         assert [pol.sigma[v] for v in graph.vertices] == [0, 1, 2, 3]
 
     def test_permutahedron_indices_are_inversion_counts(self):
         graph = permutahedron(3)
-        pol = orient(graph, (1, 2, 3))
+        pol = longest_path_morse(graph, (1, 2, 3))
         for vertex in graph.vertices:
             perm = tuple(int(c) for c in vertex)
             assert pol.sigma[vertex] == inversions(perm)
 
     def test_reversal_swaps_edge_directions(self):
         graph = permutahedron(3)
-        pol = orient(graph, (1, 2, 3))
-        rev = orient(graph, (-1, -2, -3))
+        pol = longest_path_morse(graph, (1, 2, 3))
+        rev = longest_path_morse(graph, (-1, -2, -3))
         for edge in graph.edges:
             assert pol.ascending(edge.eid) == (not rev.ascending(edge.eid))
 
     def test_zero_pairing_rejected(self):
         graph = complete_graph(3)
         with pytest.raises(PolarizationError):
-            orient(graph, (1, 1, 2))
+            longest_path_morse(graph, (1, 1, 2))
 
     def test_sign_antisymmetry(self):
         graph = permutahedron(3)
-        pol = orient(graph, (1, 3, 9))
+        pol = longest_path_morse(graph, (1, 3, 9))
         for edge in graph.edges:
             assert pol.sign(edge.eid) == -pol.sign(edge.reverse_id)
 
@@ -119,7 +119,7 @@ class TestOrient:
             ],
         )
         with pytest.raises(PolarizationError) as excinfo:
-            orient(graph, (1, 1))
+            longest_path_morse(graph, (1, 1))
         assert "loop" in str(excinfo.value)
 
 
@@ -137,6 +137,10 @@ class TestMultipleMinima:
         )
         with pytest.raises(PolarizationError) as excinfo:
             longest_path_morse(graph, (1, 1))
+        assert "index zero" in str(excinfo.value)
+        # betti polarizes, so it refuses the same graph
+        with pytest.raises(PolarizationError) as excinfo:
+            betti(graph, (1, 1))
         assert "index zero" in str(excinfo.value)
 
 
@@ -171,6 +175,11 @@ class TestBetti:
             counts[inversions(perm)] += 1
         assert betti(permutahedron(4), (1, 2, 3, 4)) == tuple(counts)
 
+    def test_default_xi(self):
+        # without xi, betti polarizes by the graph's default as polarize does
+        graph = permutahedron(4)
+        assert betti(graph) == betti(graph, (1, 2, 3, 4))
+
     @pytest.mark.parametrize("builder", [lambda: complete_graph(4), lambda: permutahedron(3)])
     def test_invariance_across_polarizations(self, builder):
         graph = builder()
@@ -190,6 +199,11 @@ class TestBetti:
 
 
 class TestMorse:
+    def test_polarization_is_frozen(self):
+        pol = polarize(permutahedron(3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pol.phi = {}
+
     def test_flag_variety_self_indexing(self):
         graph = permutahedron(3)
         pol = longest_path_morse(graph, (1, 2, 3))

@@ -9,6 +9,9 @@ from gkmcalc.symbolic import (
     LinearForm,
     Polynomial,
     RationalExpr,
+    _maybe_divisible,
+    _mod_inverse,
+    _probe_point,
     rho_form,
     rho_poly,
 )
@@ -229,6 +232,17 @@ class TestRationalExpr:
         expr = RationalExpr.make((X1 - X2).as_polynomial() * quotient, [X1 - X2])
         assert expr.is_polynomial
         assert expr.to_polynomial() == quotient
+
+    def test_probe_caches_are_bounded(self):
+        # more distinct forms than the caches hold, then two evicted ones
+        # again: k*x1 + x2 divides its own multiple and not x2, which is
+        # nonzero on its hyperplane
+        for k in list(range(1, 4200)) + [1, 2]:
+            form = LinearForm.make([k, 1])
+            assert _maybe_divisible(form.as_polynomial() * X2.as_polynomial(), form)
+            assert not _maybe_divisible(X2.as_polynomial(), form)
+        assert _probe_point.cache_info().currsize <= 4096
+        assert _mod_inverse.cache_info().currsize <= 4096
 
     def test_rendering(self):
         expr = RationalExpr.make(Polynomial.one(2), [(X1 - X2, 2)])

@@ -1,16 +1,23 @@
-"""The benchmark tracer's targets must exist in the package.
+"""Tools outside the package must keep working against it.
 
 ``perfbench/tracer.py`` wraps the functions its ``TARGETS`` table names;
 a name that no longer resolves would only fail when a traced run starts.
+``scripts/flag_products.py`` imports the package directly, so a rename in
+``src/`` would only show when someone runs it.
 """
 
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_targets():
@@ -36,3 +43,20 @@ def test_tracer_target_resolves(name, target):
     else:
         value = getattr(module, member)
     assert callable(value), f"{name}: {attribute} is not callable"
+
+
+def test_flag_products_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "flag_products.py")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    products = re.findall(r"^tau\[[^\]]+\] \* tau\[[^\]]+\] = ", result.stdout, re.M)
+    assert len(products) == 36
