@@ -1,5 +1,5 @@
-"""Cross-section combinatorics: cut-edge sets, single-step flip-flop maps,
-their composition, and the Markov property.
+"""Cross-section combinatorics: cut-edge sets, transfer ("flip-flop")
+matrices between regular levels, and the Markov property.
 
 A regular level c of the Morse function cuts a set of ascending edges; a
 cross-section class assigns to each cut edge a polynomial in the
@@ -13,8 +13,11 @@ is the identity on persisting edges and, on the new block,
 
 over the descending edges e_k at the crossed vertex, which is the transfer
 weight Q(e_j^{-1}, e_a) of ThomCalculator.q_pair.  Columns sum to one
-exactly.  Composed matrices are checked entry by entry against the
-ascending-path weighted sums with weights Q(gamma).
+exactly.  A matrix between any two regular levels is built in one sweep:
+the columns T(., w) are carried up one crossed vertex at a time, those on
+the edges arriving at the vertex combining through Q into a column on each
+ascending edge.  compose_transfer checks the result entry by entry against
+the ascending-path weighted sums with weights Q(gamma).
 
 Transporting one class needs no matrix: it runs on the Thom-class engine's
 flip-flop step, which interpolates the values on the descending edges of
@@ -106,25 +109,6 @@ class TransferMatrix:
         one = RationalExpr.one(self.source.polarization.graph.dimension)
         return all(self.column_sum(w) == one for w in self.target.cut)
 
-    def compose(self, later: "TransferMatrix") -> "TransferMatrix":
-        """later o self: first apply self, then later."""
-        if later.source.cut != self.target.cut:
-            raise GraphError("transfer matrices are not composable")
-        dim = self.source.polarization.graph.dimension
-        entries: dict[tuple[int, int], RationalExpr] = {}
-        for (v, u), first in self.entries.items():
-            if first.is_zero:
-                continue
-            for w in later.target.cut:
-                second = later.entries.get((u, w))
-                if second is None or second.is_zero:
-                    continue
-                key = (v, w)
-                current = entries.get(key)
-                product = first * second
-                entries[key] = product if current is None else current + product
-        return TransferMatrix(self.source, later.target, entries)
-
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         graph = self.source.polarization.graph
         lines = [
@@ -176,25 +160,43 @@ def single_step_transfer(
     low, high = rat(c), rat(c_prime)
     if low >= high:
         raise PolarizationError("need c < c'")
-    source = cross_section(polarization, low)
-    target = cross_section(polarization, high)
     crossed = crossed_vertices(polarization, low, high)
     if len(crossed) != 1:
         raise PolarizationError(
             f"expected exactly one critical vertex in ({low}, {high}), found {crossed}"
         )
-    vertex = crossed[0]
-    graph = polarization.graph
-    calc = ThomCalculator(polarization)
+    return _transfer(ThomCalculator(polarization), low, high, crossed)
+
+
+def _transfer(
+    calc: ThomCalculator, low: Fraction, high: Fraction, crossed: Sequence[str]
+) -> TransferMatrix:
+    """The transfer matrix from level low to level high, crossing `crossed`
+    in increasing order.
+
+    Each column T(., w) starts as the unit vector of its source cut edge.
+    At a crossed vertex the columns on the edges arriving along its
+    descending edges are popped and combined through Q into a column on
+    each ascending edge; zero entries are dropped.
+    """
+    pol, graph = calc.pol, calc.graph
+    source = cross_section(pol, low)
     one = RationalExpr.one(graph.dimension)
-    entries: dict[tuple[int, int], RationalExpr] = {}
-    for v in set(source.cut) & set(target.cut):
-        entries[(v, v)] = one
-    for down in polarization.descending_out(vertex):
-        row_edge = graph.reverse(down)  # the cut edge arriving at the vertex
-        for up in polarization.ascending_out(vertex):
-            entries[(row_edge, up)] = calc.q_pair(row_edge, up)
-    return TransferMatrix(source, target, entries)
+    columns = {v: {v: one} for v in source.cut}
+    for vertex in crossed:
+        arriving = [graph.reverse(down) for down in pol.descending_out(vertex)]
+        incoming = [(edge, columns.pop(edge)) for edge in arriving]
+        for up in pol.ascending_out(vertex):
+            column: dict[int, RationalExpr] = {}
+            for edge, entries in incoming:
+                weight = calc.q_pair(edge, up)
+                for v, value in entries.items():
+                    current = column.get(v)
+                    product = value * weight
+                    column[v] = product if current is None else current + product
+            columns[up] = {v: value for v, value in column.items() if not value.is_zero}
+    entries = {(v, w): value for w, column in columns.items() for v, value in column.items()}
+    return TransferMatrix(source, cross_section(pol, high), entries)
 
 
 def _transfer_by_paths(
@@ -233,24 +235,11 @@ def compose_transfer(
 ) -> TransferMatrix:
     """Transfer between arbitrary regular values c < c', one vertex at a time.
 
-    The product of the single steps is compared entry-by-entry with the
-    ascending-path weighted sum; the two must agree exactly.
+    Every entry is compared with the ascending-path weighted sum; the two
+    must agree exactly.
     """
     low, high, crossed = _sweep(polarization, c, c_prime)
-    matrix: Optional[TransferMatrix] = None
-    if crossed:
-        levels = [low]
-        for first, second in zip(crossed, crossed[1:]):
-            levels.append((polarization.level(first) + polarization.level(second)) / 2)
-        levels.append(high)
-        for step_low, step_high in zip(levels, levels[1:]):
-            step = single_step_transfer(polarization, step_low, step_high)
-            matrix = step if matrix is None else matrix.compose(step)
-    if matrix is None:
-        source = cross_section(polarization, low)
-        target = cross_section(polarization, high)
-        one = RationalExpr.one(polarization.graph.dimension)
-        matrix = TransferMatrix(source, target, {(v, v): one for v in source.cut})
+    matrix = _transfer(ThomCalculator(polarization), low, high, crossed)
     _check_against_paths(polarization, matrix)
     return matrix
 

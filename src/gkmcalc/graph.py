@@ -17,9 +17,10 @@ along ascending edges; longest_path_morse builds all of it at once.
 from __future__ import annotations
 
 import itertools
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import GraphError, PolarizationError
 from .symbolic import LinearForm, RationalLike, rat, rat_vector, rho_form
@@ -272,13 +273,14 @@ def _proportionality_ratio(form: LinearForm, base: LinearForm) -> Fraction:
 class Polarization:
     """Orientation, indices and Morse function phi induced by a vector xi.
 
-    Built only by longest_path_morse, which checks every condition."""
+    Built only by longest_path_morse, which checks every condition; the
+    pairings, sigma and phi are read-only mappings."""
 
     graph: GkmGraph
     xi: tuple[Fraction, ...]
-    pairings: dict[int, Fraction]
-    sigma: dict[str, int]
-    phi: dict[str, Fraction]
+    pairings: Mapping[int, Fraction]
+    sigma: Mapping[str, int]
+    phi: Mapping[str, Fraction]
     self_indexing: bool
 
     def sign(self, eid: int) -> int:
@@ -380,7 +382,14 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
     denom = len(graph.vertices) + 1
     phi = {v: longest[v] + Fraction(rank[v], denom) for v in graph.vertices}
     self_indexing = all(longest[v] == sigma[v] for v in graph.vertices)
-    return Polarization(graph, vector, pairings, sigma, phi, self_indexing)
+    return Polarization(
+        graph,
+        vector,
+        types.MappingProxyType(pairings),
+        types.MappingProxyType(sigma),
+        types.MappingProxyType(phi),
+        self_indexing,
+    )
 
 
 def polarize(graph: GkmGraph, xi: Optional[Sequence[RationalLike]] = None) -> Polarization:

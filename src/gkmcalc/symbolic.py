@@ -18,7 +18,6 @@ No floating point appears anywhere; coefficients are `fractions.Fraction`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -260,14 +259,6 @@ class Polynomial:
         if len(degrees) == 1:
             return degrees.pop()
         return None
-
-    def constant_value(self) -> Fraction:
-        """The value of a degree-<=0 polynomial; raises otherwise."""
-        if self.is_zero:
-            return ZERO
-        if self.total_degree() > 0:
-            raise ValueError(f"not a constant: {self}")
-        return self.terms[(0,) * self.dim]
 
     # -- arithmetic -----------------------------------------------------
 
@@ -528,64 +519,6 @@ def rho_poly(poly: Polynomial, edge_weight: LinearForm, xi: Sequence[RationalLik
 
 DenFactor = tuple[LinearForm, int]
 
-# Fast refutation of divisibility: a linear form can divide a polynomial
-# only if the polynomial vanishes on the form's zero hyperplane.  We
-# evaluate at one fixed point of that hyperplane in GF(p); a nonzero value
-# proves non-divisibility and skips the exact division, a zero value is
-# inconclusive and falls through to it, so results never change.  A
-# coefficient whose denominator p divides has no image in GF(p); the probe
-# is then inconclusive as well.
-_PROBE_PRIME = (1 << 61) - 1
-
-
-@functools.lru_cache(maxsize=4096)
-def _mod_inverse(value: int) -> int:
-    return pow(value, _PROBE_PRIME - 2, _PROBE_PRIME)
-
-
-def _mod_value(value: Fraction) -> Optional[int]:
-    """The image of a rational in GF(p), or None when p divides its denominator."""
-    denominator = value.denominator % _PROBE_PRIME
-    if denominator == 0:
-        return None
-    return value.numerator % _PROBE_PRIME * _mod_inverse(denominator) % _PROBE_PRIME
-
-
-@functools.lru_cache(maxsize=4096)
-def _probe_point(form: LinearForm) -> Optional[tuple[int, ...]]:
-    """A point of the form's zero hyperplane in GF(p), or None when the form
-    has no nonzero image there."""
-    j = next(i for i, c in enumerate(form.coeffs) if c != 0)
-    images = [_mod_value(c) for c in form.coeffs]
-    if None in images or images[j] == 0:
-        return None
-    values = [10007 + 101 * i for i in range(form.dim)]
-    rest = sum(images[i] * values[i] for i in range(form.dim) if i != j)
-    values[j] = -rest * _mod_inverse(images[j]) % _PROBE_PRIME
-    return tuple(v % _PROBE_PRIME for v in values)
-
-
-def _maybe_divisible(poly: Polynomial, form: LinearForm) -> bool:
-    point = _probe_point(form)
-    if point is None:
-        return True
-    powers: list[dict[int, int]] = [{0: 1, 1: v} for v in point]
-    total = 0
-    for expo, coeff in poly.terms.items():
-        term = _mod_value(coeff)
-        if term is None:
-            return True
-        for i, e in enumerate(expo):
-            if e:
-                cache = powers[i]
-                power = cache.get(e)
-                if power is None:
-                    power = pow(point[i], e, _PROBE_PRIME)
-                    cache[e] = power
-                term = term * power % _PROBE_PRIME
-        total = (total + term) % _PROBE_PRIME
-    return total == 0
-
 
 class RationalExpr:
     """A quotient num / prod_i f_i^{m_i} with linear-form denominators.
@@ -631,8 +564,6 @@ class RationalExpr:
             return RationalExpr(num, ())
         for form in list(collected):
             while collected[form] > 0:
-                if not _maybe_divisible(num, form):
-                    break
                 quotient = num.divide_linear(form)
                 if quotient is None:
                     break

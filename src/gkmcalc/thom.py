@@ -388,9 +388,6 @@ class ThomCalculator:
         """Descending Thom class: the ascending class for the reversed polarization."""
         return self.reversed_calculator().thom_class_inductive(base)
 
-    def thom_basis(self) -> dict[str, "CohomologyClass"]:
-        return {v: self.thom_class_inductive(v) for v in self.pol.vertices_by_level()}
-
     # -- pairings and structure constants ------------------------------------
 
     def pairing(self, p: str, q: str) -> Polynomial:
@@ -399,10 +396,6 @@ class ThomCalculator:
         from .cohomology import integrate
 
         return integrate(self.thom_class_inductive(p) * self.thom_class_minus(q))
-
-    def pairing_matrix(self) -> dict[tuple[str, str], Polynomial]:
-        order = self.pol.vertices_by_level()
-        return {(p, q): self.pairing(p, q) for p in order for q in order}
 
     def structure_constant(self, p: str, q: str, r: str) -> Polynomial:
         """c_pqr as the localization integral of tau_p^+ tau_q^+ tau_r^- built

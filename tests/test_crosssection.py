@@ -200,6 +200,18 @@ class TestComposeTransfer:
                 matrix = compose_transfer(pol, levels[start], levels[stop])
                 assert matrix.is_markov()
 
+    def test_keeps_only_nonzero_entries(self):
+        # on permutahedron:4 some entries cancel to zero; the sweep drops
+        # them, so the stored keys are exactly the nonzero path sums
+        from gkmcalc.crosssection import _transfer_by_paths
+
+        pol = polarize(permutahedron(4))
+        levels = chamber_levels(pol)
+        matrix = compose_transfer(pol, levels[1], levels[-2])
+        assert all(not value.is_zero for value in matrix.entries.values())
+        expected = _transfer_by_paths(pol, matrix.source, matrix.target)
+        assert set(matrix.entries) == {key for key, value in expected.items() if not value.is_zero}
+
     def test_rejects_sweep_through_minimum(self, flag3_pol):
         levels = chamber_levels(flag3_pol)
         with pytest.raises(PolarizationError):

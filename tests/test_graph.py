@@ -204,6 +204,14 @@ class TestMorse:
         with pytest.raises(dataclasses.FrozenInstanceError):
             pol.phi = {}
 
+    def test_polarization_mappings_are_read_only(self):
+        pol = polarize(permutahedron(3))
+        level = pol.level("123")
+        for mapping, key in ((pol.phi, "123"), (pol.sigma, "123"), (pol.pairings, 0)):
+            with pytest.raises(TypeError):
+                mapping[key] = 99
+        assert pol.level("123") == level
+
     def test_flag_variety_self_indexing(self):
         graph = permutahedron(3)
         pol = longest_path_morse(graph, (1, 2, 3))

@@ -3,11 +3,16 @@
 ``perfbench/tracer.py`` wraps the functions its ``TARGETS`` table names;
 a name that no longer resolves would only fail when a traced run starts.
 ``scripts/flag_products.py`` imports the package directly, so a rename in
-``src/`` would only show when someone runs it.
+``src/`` would only show when someone runs it.  ``perfbench/reference.json``
+holds the expected output of every benchmark command; the ``transfer``
+outputs are checked here against it.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import os
 import re
 import subprocess
@@ -16,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
+from gkmcalc.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
 def load_targets():
@@ -60,3 +68,13 @@ def test_flag_products_script_runs():
     assert result.returncode == 0, result.stderr
     products = re.findall(r"^tau\[[^\]]+\] \* tau\[[^\]]+\] = ", result.stdout, re.M)
     assert len(products) == 36
+
+
+@pytest.mark.parametrize("graph", ["permutahedron:3", "permutahedron:4"])
+def test_transfer_matches_benchmark_reference(graph):
+    argv = ["transfer", "--graph", graph]
+    expected = json.loads(REFERENCE.read_text())[" ".join(argv)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert out.getvalue() == expected
