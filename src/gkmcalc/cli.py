@@ -5,14 +5,17 @@ integrate, demo.  Graphs come from builder specs (complete:N,
 permutahedron:N) or files (file:PATH or a bare path).  Output is the
 canonical polynomial rendering, deterministic across runs; --format
 structured mirrors the same content as JSON.  Exit status: 0 on success,
-1 on validation or consistency failures, 2 on usage errors (a malformed
-graph spec, an unreadable or malformed class file).
+1 on validation or consistency failures, on an exponent above 2**15 - 1
+in one variable, and when the reader of standard output closes it early,
+2 on usage errors (a malformed graph spec or transfer level, an unreadable
+or malformed class file).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -42,6 +45,13 @@ def _parse_xi(text: Optional[str]) -> Optional[tuple[Fraction, ...]]:
         return tuple(rat(piece.strip()) for piece in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise GkmCalcError(f"bad --xi value {text!r}: {exc}") from exc
+
+
+def _parse_level(text: str, option: str) -> Fraction:
+    try:
+        return rat(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad {option} value {text!r}: {exc}") from exc
 
 
 def _build_graph(spec: str) -> GkmGraph:
@@ -205,8 +215,11 @@ def cmd_structconst(args) -> int:
 def cmd_transfer(args) -> int:
     graph, pol = _graph_and_polarization(args)
     levels = chamber_levels(pol)
-    low = rat(args.from_level) if args.from_level else levels[1]
-    high = rat(args.to_level) if args.to_level else (levels[-2] if len(levels) > 2 else levels[-1])
+    low = _parse_level(args.from_level, "--from-level") if args.from_level else levels[1]
+    if args.to_level:
+        high = _parse_level(args.to_level, "--to-level")
+    else:
+        high = levels[-2] if len(levels) > 2 else levels[-1]
     matrix = compose_transfer(pol, low, high)
     names, _ = _names_and_convert(graph, args.basis)
     markov = matrix.is_markov()
@@ -352,8 +365,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except GkmCalcError as exc:
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # later writes, the interpreter's final flush included, go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return FAILURE
+    except (GkmCalcError, OverflowError) as exc:
         print(f"[FAIL] {type(exc).__name__}: {exc}", file=sys.stderr)
         return FAILURE
     except UsageError as exc:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import GraphError, PolarizationError
-from .symbolic import LinearForm, RationalLike, rat, rat_vector, rho_form
+from .symbolic import LinearForm, RationalLike, format_rational, rat, rat_vector, rho_form
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,8 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
         value = edge.weight.pair(vector)
         if value == 0:
             raise PolarizationError(
-                f"not a polarization: weight of {edge.key()} pairs to zero with xi={vector}"
+                f"not a polarization: weight of {edge.key()} pairs to zero with "
+                f"xi=({', '.join(map(format_rational, vector))})"
             )
         pairings[edge.eid] = value
     sigma = {

@@ -6,22 +6,31 @@ Everything in the package funnels through three value types:
   basis x_1, ..., x_n.  Edge weights, polarization projections and
   interpolation nodes are all linear forms.
 * :class:`Polynomial` -- a sparse element of S(g*) with exact rational
-  coefficients, canonical under the graded-lexicographic term order with
-  x_1 > ... > x_n.
+  coefficients, rendered in the graded-lexicographic term order with
+  x_1 > ... > x_n.  Each monomial is packed into one int with a guarded
+  16-bit field per variable (an exponent above 2**15 - 1 raises
+  OverflowError), and the coefficients are int numerators over one shared
+  positive denominator, so the arithmetic runs on ints.
 * :class:`RationalExpr` -- a polynomial divided by a multiset of linear
   forms.  Every denominator produced by the localization and path-weight
   formulas is a product of linear forms, so simplification is trial
   division rather than general multivariate gcd.
 
-No floating point appears anywhere; coefficients are `fractions.Fraction`.
+No floating point appears anywhere.  Linear-form coefficients and every
+rational value a caller sees are `fractions.Fraction`; `Polynomial.terms`
+shows the packed storage as {exponent tuple: Fraction}.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, PolarizationError, ReductionError
 
@@ -140,14 +149,19 @@ class LinearForm:
                 return self.scale(1 / c), c
         raise ValueError("cannot normalize the zero form")
 
-    def as_polynomial(self) -> "Polynomial":
-        terms = {}
+    @functools.cached_property
+    def _polynomial(self) -> "Polynomial":
         n = self.dim
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                expo = tuple(1 if j == i else 0 for j in range(n))
-                terms[expo] = c
-        return Polynomial(n, terms)
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        num = {
+            1 << _FIELD * (n - 1 - i): c.numerator * (den // c.denominator)
+            for i, c in enumerate(self.coeffs)
+            if c
+        }
+        return Polynomial._canonical(n, num, den)
+
+    def as_polynomial(self) -> "Polynomial":
+        return self._polynomial
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         return self.as_polynomial().render(names)
@@ -158,67 +172,173 @@ class LinearForm:
 
 # ---------------------------------------------------------------------------
 # polynomials
+#
+# Packed monomials (Monagan-Pearce, CASC 2007): an exponent tuple
+# (e_1, ..., e_n) is one int with _FIELD bits per variable, x_1 in the
+# highest field, so int order is lex order and multiplying monomials adds
+# their keys.  The top bit of every field is a guard: stored exponents stay
+# at most _MAX_EXPONENT, so adding two keys never carries into the next
+# field, and a product that reaches a guard bit raises OverflowError instead
+# of wrapping.
+#
+# Coefficients are int numerators over one positive shared denominator with
+# gcd(denominator, numerators) = 1, which makes the denominator the least
+# one that clears every coefficient.  The form is canonical: equal
+# polynomials store equal dicts and denominators.
 
-# raw term-dict helpers; dicts map exponent tuples to nonzero Fractions
+_FIELD = 16
+_FIELD_MASK = (1 << _FIELD) - 1
+_MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 
-def _add_into(target: dict, source: dict) -> None:
-    for expo, coeff in source.items():
-        acc = target.get(expo)
-        if acc is None:
-            target[expo] = coeff
+@functools.lru_cache(maxsize=64)
+def _guard(dim: int) -> int:
+    """The guard bits of every field of a dim-variable key."""
+    return ((1 << _FIELD * dim) - 1) // _FIELD_MASK << (_FIELD - 1)
+
+
+def _pack(expo: Exponent, dim: int) -> int:
+    if len(expo) != dim:
+        raise DimensionError(f"exponent {tuple(expo)} for dimension {dim}")
+    key = 0
+    for e in expo:
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(expo)}")
+        if e > _MAX_EXPONENT:
+            raise OverflowError(f"exponent {e} exceeds {_MAX_EXPONENT}")
+        key = key << _FIELD | e
+    return key
+
+
+def _unpack(key: int, dim: int) -> Exponent:
+    expo = [0] * dim
+    for i in range(dim - 1, -1, -1):
+        expo[i] = key & _FIELD_MASK
+        key >>= _FIELD
+    return tuple(expo)
+
+
+def _degree(key: int) -> int:
+    total = 0
+    while key:
+        total += key & _FIELD_MASK
+        key >>= _FIELD
+    return total
+
+
+# raw term-dict helpers; dicts map packed keys to nonzero ints
+
+
+def _add_into(target: dict, source: dict, scale: int = 1) -> None:
+    """target += scale * source, for a nonzero scale."""
+    for key, value in source.items():
+        value = target.get(key, 0) + scale * value
+        if value:
+            target[key] = value
         else:
-            acc = acc + coeff
-            if acc == 0:
-                del target[expo]
-            else:
-                target[expo] = acc
+            del target[key]
 
 
-def _mul_dicts(d1: dict, d2: dict) -> dict:
+def _mul_terms(d1: dict, d2: dict, guard: int) -> dict:
+    """The product; OverflowError when an exponent reaches a guard bit."""
     if len(d1) > len(d2):
         d1, d2 = d2, d1
     out: dict = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            expo = tuple(a + b for a, b in zip(e1, e2))
-            acc = out.get(expo)
-            if acc is None:
-                out[expo] = c1 * c2
-            else:
-                acc = acc + c1 * c2
-                if acc == 0:
-                    del out[expo]
-                else:
-                    out[expo] = acc
+    get = out.get
+    for k1, c1 in d1.items():
+        for k2, c2 in d2.items():
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    if not out:
+        return out
+    if functools.reduce(operator.or_, out) & guard:
+        raise OverflowError(f"product has an exponent above {_MAX_EXPONENT}")
+    if 0 in out.values():
+        return {key: value for key, value in out.items() if value}
     return out
 
 
-def _grlex_key(expo: Exponent) -> tuple:
-    return (sum(expo), expo)
+def _int_vector(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, den) with values = ints/den for the least positive den."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _derivative(terms: dict, direction: Sequence[int], dim: int) -> dict:
+    """The derivative along an int vector."""
+    out: dict = {}
+    get = out.get
+    for i, v in enumerate(direction):
+        if v:
+            shift = _FIELD * (dim - 1 - i)
+            unit = 1 << shift
+            for key, c in terms.items():
+                e = key >> shift & _FIELD_MASK
+                if e:
+                    out[key - unit] = get(key - unit, 0) + c * e * v
+    return {key: c for key, c in out.items() if c}
 
 
 class Polynomial:
-    """Sparse polynomial in S(g*) with exact rational coefficients."""
+    """Sparse polynomial in S(g*) with exact rational coefficients.
 
-    __slots__ = ("dim", "terms")
+    Built from {exponent tuple: coefficient}; stored as packed monomial keys
+    with int numerators over one shared denominator (see the comment above
+    `_FIELD`).  `terms` is the read-only {exponent tuple: Fraction} view,
+    built on first use.  No exponent of a single variable may exceed
+    2**15 - 1: the constructor, products and substitutions raise
+    OverflowError past it.
+    """
+
+    __slots__ = ("dim", "_num", "_den", "_view")
 
     def __init__(self, dim: int, terms: Optional[dict] = None):
+        coeffs = {}
+        for expo, value in (terms or {}).items():
+            value = rat(value)
+            if value:
+                coeffs[_pack(expo, dim)] = value
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
         self.dim = dim
-        self.terms: dict = {} if terms is None else terms
+        self._num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
+        self._den = den
+        self._view = None
+
+    @staticmethod
+    def _canonical(dim: int, num: dict, den: int) -> "Polynomial":
+        """Wrap int numerators over a positive den, dividing out their
+        common factor."""
+        if not num:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {key: value // g for key, value in num.items()}
+        poly = object.__new__(Polynomial)
+        poly.dim, poly._num, poly._den, poly._view = dim, num, den, None
+        return poly
+
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """Read-only {exponent tuple: nonzero Fraction} view."""
+        if self._view is None:
+            dim, den = self.dim, self._den
+            self._view = MappingProxyType(
+                {_unpack(key, dim): Fraction(value, den) for key, value in self._num.items()}
+            )
+        return self._view
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(dim: int) -> "Polynomial":
-        return Polynomial(dim)
+        return Polynomial._canonical(dim, {}, 1)
 
     @staticmethod
     def constant(value: RationalLike, dim: int) -> "Polynomial":
         c = rat(value)
-        if c == 0:
-            return Polynomial(dim)
-        return Polynomial(dim, {(0,) * dim: c})
+        return Polynomial._canonical(dim, {0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def one(dim: int) -> "Polynomial":
@@ -240,20 +360,18 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def total_degree(self) -> int:
         """Maximal total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(_degree, self._num), default=-1)
 
     def homogeneous_degree(self) -> Optional[int]:
         """The common total degree of all terms, or None if inhomogeneous.
 
         The zero polynomial is homogeneous of every degree; returns -1.
         """
-        degrees = {sum(e) for e in self.terms}
+        degrees = set(map(_degree, self._num))
         if not degrees:
             return -1
         if len(degrees) == 1:
@@ -275,13 +393,23 @@ class Polynomial:
             return Polynomial.constant(other, self.dim)
         return NotImplemented
 
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the least common denominator."""
+        if not other._num:
+            return self
+        if not self._num:
+            return other if sign > 0 else -other
+        den = math.lcm(self._den, other._den)
+        scale = den // self._den
+        out = dict(self._num) if scale == 1 else {k: v * scale for k, v in self._num.items()}
+        _add_into(out, other._num, sign * (den // other._den))
+        return Polynomial._canonical(self.dim, out, den)
+
     def __add__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        _add_into(out, rhs.terms)
-        return Polynomial(self.dim, out)
+        return self._combine(rhs, 1)
 
     __radd__ = __add__
 
@@ -289,27 +417,27 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return self + (-rhs)
+        return self._combine(rhs, -1)
 
     def __rsub__(self, other) -> "Polynomial":
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return rhs + (-self)
+        return rhs._combine(self, -1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.dim, {e: -c for e, c in self.terms.items()})
+        return Polynomial._canonical(self.dim, {k: -v for k, v in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            if c == 0:
-                return Polynomial(self.dim)
-            return Polynomial(self.dim, {e: c * v for e, v in self.terms.items()})
+            num = {k: v * c.numerator for k, v in self._num.items()} if c else {}
+            return Polynomial._canonical(self.dim, num, self._den * c.denominator)
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return Polynomial(self.dim, _mul_dicts(self.terms, rhs.terms))
+        num = _mul_terms(self._num, rhs._num, _guard(self.dim))
+        return Polynomial._canonical(self.dim, num, self._den * rhs._den)
 
     __rmul__ = __mul__
 
@@ -331,10 +459,10 @@ class Polynomial:
             other = Polynomial.constant(other, self.dim)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+        return self.dim == other.dim and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     # -- evaluation and substitution -------------------------------------
 
@@ -353,101 +481,121 @@ class Polynomial:
         return total
 
     def substitute(self, forms: Sequence[LinearForm]) -> "Polynomial":
-        """Ring homomorphism sending x_i to forms[i]."""
+        """Ring homomorphism sending x_i to forms[i], by Horner's rule in
+        each variable in turn."""
         if len(forms) != self.dim:
             raise DimensionError("substitution needs one form per variable")
-        if not self.terms:
-            target_dim = forms[0].dim if forms else self.dim
+        target_dim = forms[0].dim if forms else self.dim
+        if any(form.dim != target_dim for form in forms):
+            raise DimensionError("substitution forms of different dimensions")
+        if not self._num:
             return Polynomial.zero(target_dim)
-        target_dim = forms[0].dim
-        images = [f.as_polynomial() for f in forms]
-        # cache powers of each image up to the degree actually used
-        max_pow = [0] * self.dim
-        for expo in self.terms:
-            for i, e in enumerate(expo):
-                max_pow[i] = max(max_pow[i], e)
-        powers: list[list[Polynomial]] = []
+        images = [form.as_polynomial() for form in forms]
+        # F_i = scale * forms[i] has int coefficients; scaling a term of
+        # degree k by scale^(top - k) makes the image under x_i -> F_i equal
+        # scale^top times the image under x_i -> forms[i]
+        scale = math.lcm(*(image._den for image in images))
+        ints = [
+            image._num if image._den == scale
+            else {k: v * (scale // image._den) for k, v in image._num.items()}
+            for image in images
+        ]
+        num, den = self._num, self._den
+        if scale != 1:
+            top = self.total_degree()
+            num = {k: v * scale ** (top - _degree(k)) for k, v in num.items()}
+            den *= scale**top
+        # keys carry the source fields above the target fields; each pass,
+        # x_1 first, expands one variable and leaves its field zero
+        low = _FIELD * target_dim
+        guard = _guard(self.dim + target_dim)
+        terms = {key << low: value for key, value in num.items()}
         for i in range(self.dim):
-            row = [Polynomial.one(target_dim)]
-            for _ in range(max_pow[i]):
-                row.append(row[-1] * images[i])
-            powers.append(row)
-        out: dict = {}
-        for expo, coeff in self.terms.items():
-            term = Polynomial.constant(coeff, target_dim)
-            for i, e in enumerate(expo):
-                if e:
-                    term = term * powers[i][e]
-            _add_into(out, term.terms)
-        return Polynomial(target_dim, out)
+            shift = low + _FIELD * (self.dim - 1 - i)
+            slices: dict[int, dict] = {}
+            for key, value in terms.items():
+                e = key >> shift & _FIELD_MASK
+                slices.setdefault(e, {})[key - (e << shift)] = value
+            top = max(slices)
+            if top == 0:
+                continue
+            terms = slices[top]
+            for e in range(top - 1, -1, -1):
+                terms = _mul_terms(terms, ints[i], guard)
+                part = slices.get(e)
+                if part:
+                    _add_into(terms, part)
+        return Polynomial._canonical(target_dim, terms, den)
 
     def directional_derivative(self, xi: Sequence[RationalLike]) -> "Polynomial":
         """Derivative along the vector xi; zero iff the value lies in S(g*_xi)."""
         values = rat_vector(xi)
         if len(values) != self.dim:
             raise DimensionError("direction vector has wrong length")
-        out: dict = {}
-        for expo, coeff in self.terms.items():
-            for i, e in enumerate(expo):
-                if e and values[i] != 0:
-                    lowered = list(expo)
-                    lowered[i] -= 1
-                    _add_into(out, {tuple(lowered): coeff * e * values[i]})
-        return Polynomial(self.dim, out)
+        direction, den = _int_vector(values)
+        return Polynomial._canonical(self.dim, _derivative(self._num, direction, self.dim), self._den * den)
 
     # -- division ---------------------------------------------------------
 
     def divide_linear(self, form: LinearForm) -> Optional["Polynomial"]:
-        """Exact quotient self/form, or None when form does not divide self."""
-        if form.is_zero:
+        """Exact quotient self/form, or None when form does not divide self.
+
+        With form = L/D for an int form L whose leading variable x_j has
+        coefficient c > 0, the numerators N are scaled by c^top (top the
+        x_j-degree of N), so every step of the sweep down the powers of x_j
+        is an exact floor division by c; only the remainder decides.
+        """
+        divisor = form.as_polynomial()
+        if not divisor._num:
             raise ValueError("division by the zero form")
         if form.dim != self.dim:
             raise DimensionError("divisor dimension mismatch")
-        if not self.terms:
-            return Polynomial.zero(self.dim)
-        j = next(i for i, c in enumerate(form.coeffs) if c != 0)
-        c = form.coeffs[j]
-        rest = {}
-        for i, a in enumerate(form.coeffs):
-            if i != j and a != 0:
-                expo = tuple(1 if k == i else 0 for k in range(self.dim))
-                rest[expo] = a
-        # split self into slices by the exponent of x_j
+        if not self._num:
+            return self
+        lead = max(divisor._num)  # the unit key of x_j
+        c = divisor._num[lead]
+        sign = 1 if c > 0 else -1
+        c *= sign
+        rest = [(key, sign * value) for key, value in divisor._num.items() if key != lead]
+        shift = lead.bit_length() - 1
+        # split the numerators into slices by the exponent of x_j
         slices: dict[int, dict] = {}
-        for expo, coeff in self.terms.items():
-            k = expo[j]
-            flat = expo[:j] + (0,) + expo[j + 1 :]
-            slices.setdefault(k, {})[flat] = coeff
+        for key, value in self._num.items():
+            k = key >> shift & _FIELD_MASK
+            slices.setdefault(k, {})[key - (k << shift)] = value
         top = max(slices)
         if top == 0:
             return None  # self is free of x_j but form is not
-        inv_c = 1 / c
-        quotient_slices: dict[int, dict] = {}
+        if c != 1:
+            power = c**top
+            for part in slices.values():
+                for key in part:
+                    part[key] *= power
+        quotient: dict = {}
         carry: dict = {}  # B_k during the downward sweep
-        for k in range(top, 0, -1):
-            a_k = dict(slices.get(k, {}))
-            if carry:
-                _add_into(a_k, {e: -v for e, v in _mul_dicts(rest, carry).items()})
-            b = {e: v * inv_c for e, v in a_k.items()}
-            if b:
-                quotient_slices[k - 1] = b
-            carry = b
-        remainder = dict(slices.get(0, {}))
-        if carry:
-            _add_into(remainder, {e: -v for e, v in _mul_dicts(rest, carry).items()})
-        if remainder:
+        for k in range(top, -1, -1):
+            part = slices.get(k, {})
+            get = part.get
+            for unit, a in rest:
+                for key, value in carry.items():
+                    key += unit
+                    part[key] = get(key, 0) - a * value
+            if not k:
+                break
+            carry = {key: value // c for key, value in part.items() if value}
+            lift = (k - 1) << shift
+            quotient.update({key + lift: value for key, value in carry.items()})
+        if any(part.values()):
             return None
-        out: dict = {}
-        for k, slice_terms in quotient_slices.items():
-            for expo, coeff in slice_terms.items():
-                lifted = expo[:j] + (k,) + expo[j + 1 :]
-                out[lifted] = coeff
-        return Polynomial(self.dim, out)
+        factor = sign * divisor._den
+        if factor != 1:
+            quotient = {key: value * factor for key, value in quotient.items()}
+        return Polynomial._canonical(self.dim, quotient, self._den * c**top)
 
     # -- rendering ----------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         """Canonical text: graded-lex term order, rationals as p/q."""
@@ -500,17 +648,40 @@ def rho_form(form: LinearForm, edge_weight: LinearForm, xi: Sequence[RationalLik
 
 
 def rho_poly(poly: Polynomial, edge_weight: LinearForm, xi: Sequence[RationalLike]) -> Polynomial:
-    """Extend rho_e multiplicatively to S(g*); a ring homomorphism."""
-    denom = edge_weight.pair(xi)
-    if denom == 0:
-        raise PolarizationError(f"edge weight {edge_weight} pairs to zero with xi")
-    values = rat_vector(xi)
+    """Extend rho_e multiplicatively to S(g*); a ring homomorphism.
+
+    rho_e(P)(x) = P(x - t xi) with t = alpha_e(x)/alpha_e(xi): the Taylor
+    shift sum_k (-t)^k D_xi^k P / k! in the single direction xi, summed by
+    Horner's rule in alpha_e.
+    """
     n = poly.dim
-    forms = []
-    for i in range(n):
-        base = LinearForm.basis(i, n)
-        forms.append(base - edge_weight.scale(values[i] / denom))
-    return poly.substitute(forms)
+    if edge_weight.dim != n or len(xi) != n:
+        raise DimensionError(
+            f"polynomial of dimension {n}, form of dimension {edge_weight.dim}, xi of length {len(xi)}"
+        )
+    # with int multiples W of alpha_e and X of xi, t = W(x)/s for s = W(X)
+    direction, _ = _int_vector(rat_vector(xi))
+    weight = edge_weight.as_polynomial()._num
+    s = sum(a * direction[n - 1 - (key.bit_length() - 1) // _FIELD] for key, a in weight.items())
+    if s == 0:
+        raise PolarizationError(f"edge weight {edge_weight} pairs to zero with xi")
+    minus_w = {key: -a for key, a in weight.items()} if s > 0 else dict(weight)
+    s = abs(s)
+    # taylor[k] = D_X^k P / k!, an exact division
+    taylor = [poly._num]
+    while True:
+        derivative = _derivative(taylor[-1], direction, n)
+        if not derivative:
+            break
+        k = len(taylor)
+        taylor.append({key: c // k for key, c in derivative.items()})
+    # sum_k (-W)^k s^(d-k) taylor[k] by Horner's rule, over s^d
+    terms, scale, guard = taylor[-1], 1, _guard(n)
+    for coefficient in reversed(taylor[:-1]):
+        scale *= s
+        terms = _mul_terms(terms, minus_w, guard)
+        _add_into(terms, coefficient, scale)
+    return Polynomial._canonical(n, terms, poly._den * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gkmcalc.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -341,11 +347,64 @@ class TestUsageErrors:
         assert code == 1
         assert "critical" in err + out
 
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("--from-level", "abc"),
+            ("--to-level", "abc"),
+            ("--from-level", "1/0"),
+            ("--to-level", "1/0"),
+        ],
+    )
+    def test_malformed_transfer_level(self, capsys, option, value):
+        code, out, err = run(capsys, "transfer", "--graph", "permutahedron:3", option, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"[FAIL] bad {option} value") and len(err.strip().splitlines()) == 1
+
+    def test_zero_pairing_message_renders_xi(self, capsys):
+        code, out, err = run(capsys, "betti", "--graph", "permutahedron:3", "--xi", "1,1,2")
+        assert code == 1
+        assert err == (
+            "[FAIL] PolarizationError: not a polarization: weight of 123>213 "
+            "pairs to zero with xi=(1, 1, 2)\n"
+        )
+
+    def test_closed_stdout_pipe(self):
+        # the read end is closed before the child starts, so its first write
+        # to standard output fails with EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "gkmcalc.cli", "table", "--graph", "permutahedron:4"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode in (0, 1, 2)
+        assert result.stderr == b""
+
     def test_malformed_graph_size(self, capsys):
         code, out, err = run(capsys, "table", "--graph", "complete:abc")
         assert code == 2
         assert out == ""
         assert err.startswith("[FAIL] ") and len(err.strip().splitlines()) == 1
+
+    def test_exponent_past_packed_range(self, capsys, tmp_path):
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({f"p{i}": "x1^40000" for i in (1, 2, 3)}))
+        code, out, err = run(
+            capsys, "integrate", "--graph", "complete:3", "--class-file", str(path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("[FAIL] OverflowError: ") and len(err.strip().splitlines()) == 1
 
     def test_missing_class_file(self, capsys, tmp_path):
         code, out, err = run(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gkmcalc.errors import ReductionError
 from gkmcalc.symbolic import (
+    _MAX_EXPONENT,
     LinearForm,
     Polynomial,
     RationalExpr,
@@ -237,3 +238,134 @@ class TestRationalExpr:
     def test_degree(self):
         expr = RationalExpr.make((X1 + X2).as_polynomial() ** 3, [X1 - X2])
         assert expr.degree() == 2
+
+
+# -- the packed kernel against a plain exponent-tuple / Fraction reference
+
+
+def ref_add(a, b, sign=1):
+    out = dict(a)
+    for expo, c in b.items():
+        out[expo] = out.get(expo, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            out[expo] = out.get(expo, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_form(coeffs):
+    dim = len(coeffs)
+    return {
+        tuple(int(j == i) for j in range(dim)): Fraction(c) for i, c in enumerate(coeffs) if c != 0
+    }
+
+
+def ref_substitute(a, forms, target_dim):
+    out = {}
+    for expo, c in a.items():
+        term = {(0,) * target_dim: c}
+        for form, e in zip(forms, expo):
+            for _ in range(e):
+                term = ref_mul(term, ref_form(form))
+        out = ref_add(out, term)
+    return out
+
+
+def ref_divide(a, coeffs):
+    """Quotient a/form by sweeping down the powers of the form's first
+    variable, or None when the remainder is nonzero."""
+    j = next(i for i, c in enumerate(coeffs) if c != 0)
+    lead = Fraction(coeffs[j])
+    remaining = dict(a)
+    quotient = {}
+    while remaining:
+        expo = max(remaining, key=lambda e: (e[j], e))
+        if expo[j] == 0:
+            return None
+        lowered = expo[:j] + (expo[j] - 1,) + expo[j + 1 :]
+        c = remaining[expo] / lead
+        quotient[lowered] = quotient.get(lowered, Fraction(0)) + c
+        remaining = ref_add(remaining, ref_mul({lowered: c}, ref_form(coeffs)), -1)
+    return {e: c for e, c in quotient.items() if c != 0}
+
+
+@st.composite
+def kernel_cases(draw):
+    dim = draw(st.integers(1, 5))
+    # monomials of total degree at most 4, as multisets of variables
+    expo = st.lists(st.integers(0, dim - 1), max_size=4).map(
+        lambda variables: tuple(variables.count(i) for i in range(dim))
+    )
+    terms = st.dictionaries(expo, rationals, max_size=5).map(
+        lambda d: {e: Fraction(c) for e, c in d.items() if c != 0}
+    )
+    vector = st.lists(rationals, min_size=dim, max_size=dim)
+    form = draw(vector.filter(lambda v: any(v)))
+    target_dim = draw(st.integers(1, 5))
+    forms = draw(
+        st.lists(st.lists(rationals, min_size=target_dim, max_size=target_dim), min_size=dim, max_size=dim)
+    )
+    return dim, draw(terms), draw(terms), form, forms, draw(vector)
+
+
+class TestPackedKernel:
+    @given(kernel_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_reference(self, case):
+        dim, a, b, coeffs, images, xi = case
+        pa, pb, form = Polynomial(dim, a), Polynomial(dim, b), LinearForm.make(coeffs)
+        assert pa.terms == a
+        for got, want in [
+            (pa + pb, ref_add(a, b)),
+            (pa - pb, ref_add(a, b, -1)),
+            (pa * pb, ref_mul(a, b)),
+            (pa * Fraction(-3, 4), {e: c * Fraction(-3, 4) for e, c in a.items()}),
+        ]:
+            assert got.terms == want
+            assert got == Polynomial(dim, want)  # canonical storage
+        # a multiple of the form divides back exactly; a multiple plus a
+        # nonzero constant never divides
+        product = pa * form
+        assert product.divide_linear(form) == pa
+        assert (product + 1).divide_linear(form) is None
+        # an arbitrary pair: None exactly when the reference leaves a remainder
+        quotient = pb.divide_linear(form)
+        expected = ref_divide(b, coeffs)
+        if expected is None:
+            assert quotient is None
+        else:
+            assert quotient.terms == expected
+        target_dim = len(images[0])
+        forms = [LinearForm.make(image) for image in images]
+        assert pa.substitute(forms).terms == ref_substitute(a, images, target_dim)
+        pairing = form.pair(xi)
+        if pairing != 0:
+            rho_images = [
+                [Fraction(int(i == k)) - Fraction(xi[i]) / pairing * Fraction(c) for k, c in enumerate(coeffs)]
+                for i in range(dim)
+            ]
+            assert rho_poly(pa, form, xi).terms == ref_substitute(a, rho_images, dim)
+
+    def test_product_past_exponent_range_raises(self):
+        top = _MAX_EXPONENT
+        x2 = Polynomial.variable(1, 2)
+        below = Polynomial(2, {(0, top - 1): Fraction(1, 3)})
+        # the largest exponent still multiplies exactly, in x2 alone
+        assert (below * x2).terms == {(0, top): Fraction(1, 3)}
+        with pytest.raises(OverflowError):
+            below * x2 * x2
+        with pytest.raises(OverflowError):
+            Polynomial(2, {(0, top + 1): 1})
+        square_root = Polynomial(2, {(0, (top + 1) // 2): 1})
+        with pytest.raises(OverflowError):
+            square_root * square_root
+        # substitution raises too: x1^top x2 -> x2^(top + 1)
+        high = Polynomial(2, {(top, 1): 1})
+        with pytest.raises(OverflowError):
+            high.substitute([X2, X2])

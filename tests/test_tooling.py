@@ -5,7 +5,8 @@ a name that no longer resolves would only fail when a traced run starts.
 ``scripts/flag_products.py`` imports the package directly, so a rename in
 ``src/`` would only show when someone runs it.  ``perfbench/reference.json``
 holds the expected output of every benchmark command; the ``transfer``
-outputs are checked here against it.
+outputs are checked here against it.  The tracer's counters read
+``Polynomial.terms``, so the view it gives is checked here too.
 """
 
 import contextlib
@@ -17,25 +18,27 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gkmcalc.cli import main
+from gkmcalc.symbolic import LinearForm, Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
 
 
-@pytest.mark.parametrize("name,target", sorted(load_targets().items()))
+@pytest.mark.parametrize("name,target", sorted(load_tracer().TARGETS.items()))
 def test_tracer_target_resolves(name, target):
     # resolve the way Tracer.install does: class members through the class
     # __dict__, module-level functions through the module
@@ -51,6 +54,16 @@ def test_tracer_target_resolves(name, target):
     else:
         value = getattr(module, member)
     assert callable(value), f"{name}: {attribute} is not callable"
+
+
+def test_tracer_reads_polynomial_coefficients():
+    # symbolic.max_coeff_bits and the term_pairs counts read Polynomial.terms
+    tracer = load_tracer()
+    poly = Polynomial(2, {(1, 0): Fraction(7, 12), (0, 2): Fraction(-5)})
+    assert tracer._coeff_bits(poly) == 4  # 12 = 0b1100
+    assert tracer._operand_terms(poly) == 2
+    assert tracer._operand_terms(LinearForm.make([0, 3])) == 1
+    assert tracer._operand_terms(Fraction(7, 12)) == 1
 
 
 def test_flag_products_script_runs():
