@@ -46,15 +46,9 @@ def complete_graph_on_points(
     connection = {}
     for edge in graph.edges:
         for other in graph.out_edges(edge.source):
-            if other == edge.eid:
-                connection[(edge.eid, other)] = edge.reverse_id
-            else:
-                third = graph.edges[other].target
-                if third == edge.target:
-                    image = graph.edge_between(edge.target, edge.source)
-                else:
-                    image = graph.edge_between(edge.target, third)
-                connection[(edge.eid, other)] = image
+            third = graph.edges[other].target
+            image = edge.reverse_id if other == edge.eid else graph.edge_between(edge.target, third)
+            connection[(edge.eid, other)] = image
     graph.connection.update(connection)
     return graph
 
@@ -124,22 +118,18 @@ def permutahedron(n: int) -> GkmGraph:
         n, names, undirected, labels=labels, default_xi=rat_vector(range(1, n + 1))
     )
 
+    def positions(eid: int) -> list[int]:
+        """The transposition t of the edge pi -> pi*t: where the names differ."""
+        edge = graph.edges[eid]
+        return [k for k in range(n) if edge.source[k] != edge.target[k]]
+
     connection = {}
     for edge in graph.edges:
         pi = tuple(int(c) for c in edge.source)
-        tau = next(
-            (i, j) for i, j in transpositions if _one_line_name(_swap(pi, i, j)) == edge.target
-        )
+        tau = positions(edge.eid)
         for other in graph.out_edges(edge.source):
-            if other == edge.eid:
-                connection[(edge.eid, other)] = edge.reverse_id
-                continue
-            tau_prime = next(
-                (i, j)
-                for i, j in transpositions
-                if _one_line_name(_swap(pi, i, j)) == graph.edges[other].target
-            )
-            image_target = _swap(_swap(pi, *tau_prime), *tau)
+            # t' = t gives pi*t*t = pi, the reversal
+            image_target = _swap(_swap(pi, *positions(other)), *tau)
             image = graph.edge_between(edge.target, _one_line_name(image_target))
             if image is None:
                 raise GraphError("permutahedron connection image missing")

@@ -5,10 +5,11 @@ integrate, demo.  Graphs come from builder specs (complete:N,
 permutahedron:N) or files (file:PATH or a bare path).  Output is the
 canonical polynomial rendering, deterministic across runs; --format
 structured mirrors the same content as JSON.  Exit status: 0 on success,
-1 on validation or consistency failures, on an exponent above 2**15 - 1
-in one variable, and when the reader of standard output closes it early,
-2 on usage errors (a malformed graph spec or transfer level, an unreadable
-or malformed class file).
+1 on validation or consistency failures (a parsed xi of the wrong length
+or with a zero pairing among them), on an exponent above 2**15 - 1 in one
+variable, and when the reader of standard output closes it early, 2 on
+usage errors (a malformed graph spec, --xi value or transfer level, an
+unreadable or malformed class file).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _parse_xi(text: Optional[str]) -> Optional[tuple[Fraction, ...]]:
     try:
         return tuple(rat(piece.strip()) for piece in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise GkmCalcError(f"bad --xi value {text!r}: {exc}") from exc
+        raise UsageError(f"bad --xi value {text!r}: {exc}") from exc
 
 
 def _parse_level(text: str, option: str) -> Fraction:

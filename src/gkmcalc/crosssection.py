@@ -13,11 +13,11 @@ is the identity on persisting edges and, on the new block,
 
 over the descending edges e_k at the crossed vertex, which is the transfer
 weight Q(e_j^{-1}, e_a) of ThomCalculator.q_pair.  Columns sum to one
-exactly.  A matrix between any two regular levels is built in one sweep:
-the columns T(., w) are carried up one crossed vertex at a time, those on
-the edges arriving at the vertex combining through Q into a column on each
-ascending edge.  compose_transfer checks the result entry by entry against
-the ascending-path weighted sums with weights Q(gamma).
+exactly.  A matrix between any two regular levels is built by thom._carry,
+the edge sweep that also sums the path classes: each row T(v, .) starts as
+1 on its source cut edge v and is carried up one crossed vertex at a time
+through Q.  compose_transfer checks the result entry by entry against the
+ascending-path weighted sums with weights Q(gamma).
 
 Transporting one class needs no matrix: it runs on the Thom-class engine's
 flip-flop step, which interpolates the values on the descending edges of
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import GraphError, PolarizationError
+from .errors import GraphError, InternalConsistencyError, PolarizationError
 from .cohomology import CrossSectionClass, cut_edge_ids
 from .graph import Polarization
 from .symbolic import Polynomial, RationalExpr, RationalLike, rat, rho_poly
-from .thom import ThomCalculator, _flip_flop
+from .thom import ThomCalculator, _carry, _flip_flop
 
 
 @dataclass(frozen=True)
@@ -172,30 +172,15 @@ def _transfer(
     calc: ThomCalculator, low: Fraction, high: Fraction, crossed: Sequence[str]
 ) -> TransferMatrix:
     """The transfer matrix from level low to level high, crossing `crossed`
-    in increasing order.
-
-    Each column T(., w) starts as the unit vector of its source cut edge.
-    At a crossed vertex the columns on the edges arriving along its
-    descending edges are popped and combined through Q into a column on
-    each ascending edge; zero entries are dropped.
-    """
-    pol, graph = calc.pol, calc.graph
+    in increasing order: row T(v, .) is the unit weight on the source cut
+    edge v carried up through Q."""
+    pol = calc.pol
     source = cross_section(pol, low)
-    one = RationalExpr.one(graph.dimension)
-    columns = {v: {v: one} for v in source.cut}
-    for vertex in crossed:
-        arriving = [graph.reverse(down) for down in pol.descending_out(vertex)]
-        incoming = [(edge, columns.pop(edge)) for edge in arriving]
-        for up in pol.ascending_out(vertex):
-            column: dict[int, RationalExpr] = {}
-            for edge, entries in incoming:
-                weight = calc.q_pair(edge, up)
-                for v, value in entries.items():
-                    current = column.get(v)
-                    product = value * weight
-                    column[v] = product if current is None else current + product
-            columns[up] = {v: value for v, value in column.items() if not value.is_zero}
-    entries = {(v, w): value for w, column in columns.items() for v, value in column.items()}
+    one = RationalExpr.one(pol.graph.dimension)
+    entries = {}
+    for v in source.cut:
+        row, _ = _carry(pol, {v: one}, crossed, calc.q_pair)
+        entries.update(((v, w), value) for w, value in row.items())
     return TransferMatrix(source, cross_section(pol, high), entries)
 
 
@@ -245,8 +230,6 @@ def compose_transfer(
 
 
 def _check_against_paths(polarization: Polarization, matrix: TransferMatrix) -> None:
-    from .errors import InternalConsistencyError
-
     expected = _transfer_by_paths(polarization, matrix.source, matrix.target)
     keys = set(expected) | set(matrix.entries)
     graph = polarization.graph
@@ -278,8 +261,6 @@ def transport_with_interpolants(
     for every descending edge e_j, and the outgoing values are
     rho_{e_a}(psi).
     """
-    from .errors import InternalConsistencyError
-
     polarization = F.polarization
     graph = polarization.graph
     xi = polarization.xi

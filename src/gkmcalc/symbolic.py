@@ -34,7 +34,6 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, PolarizationError, ReductionError
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 Exponent = tuple[int, ...]

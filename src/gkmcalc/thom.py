@@ -13,14 +13,19 @@ For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
 (quotient of a polynomial by a product of linear forms) but the sum itself
 collapses to a polynomial; the reduction succeeding is a checked
-postcondition.  Every path weight is computed along two independent routes,
+postcondition.  Every path weight is a product of per-edge factors along
+two independent routes,
 
   * the intersection-number form: (-1)^m nu_q (iota_{e_1}/ahat_m)
     prod_{k>=2} iota_{e_k}/(ahat_{k-1} - ahat_k), with
     ahat_k = alpha_{e_k}/alpha_{e_k}(xi), and
   * the transfer form Q(e_m) Q(gamma) rho_{e_1}(nu_p),
 
-and the two must agree exactly; disagreement raises, as a bug trap.
+so the path sums are carried edge by edge (_carry, which also sweeps the
+transfer matrices of crosssection), once along each route; the two must
+agree exactly, and disagreement raises, as a bug trap.  Paths are
+enumerated only where a path is the object: path_weight, path_sum,
+has_unique_path and the nearby-path configurations.
 """
 
 from __future__ import annotations
@@ -202,17 +207,7 @@ class ThomCalculator:
         over its own projection along e."""
         cached = self._q_edge.get(eid)
         if cached is None:
-            graph = self.graph
-            edge = graph.edges[eid]
-            others = [
-                graph.weight(e)
-                for e in self.pol.descending_out(edge.target)
-                if e != edge.reverse_id
-            ]
-            numerator = Polynomial.product_of_forms(others, graph.dimension)
-            denominator = [rho_form(w, edge.weight, self.pol.xi) for w in others]
-            cached = RationalExpr.make(numerator, denominator)
-            self._q_edge[eid] = cached
+            cached = self._q_edge[eid] = self._over_projections(eid, lambda w: w)
         return cached
 
     def q_pair(self, first: int, second: int) -> RationalExpr:
@@ -221,58 +216,60 @@ class ThomCalculator:
         cached = self._q_pair.get(key)
         if cached is None:
             graph = self.graph
-            head = graph.edges[first].target
-            if graph.edges[second].source != head:
+            if graph.edges[second].source != graph.edges[first].target:
                 raise GraphError("edges are not consecutive")
-            others = [
-                graph.weight(e)
-                for e in self.pol.descending_out(head)
-                if e != graph.edges[first].reverse_id
-            ]
-            xi = self.pol.xi
-            numerator = Polynomial.product_of_forms(
-                (rho_form(w, graph.weight(second), xi) for w in others), graph.dimension
-            )
-            denominator = [rho_form(w, graph.weight(first), xi) for w in others]
-            cached = RationalExpr.make(numerator, denominator)
+            weight = graph.weight(second)
+            cached = self._over_projections(first, lambda w: rho_form(w, weight, self.pol.xi))
             self._q_pair[key] = cached
         return cached
 
+    def _over_projections(self, eid: int, project) -> RationalExpr:
+        """prod project(w) / prod rho_e(w) over the descending weights w at
+        the head of e other than its reversal."""
+        graph = self.graph
+        edge = graph.edges[eid]
+        others = [
+            graph.weight(e) for e in self.pol.descending_out(edge.target) if e != edge.reverse_id
+        ]
+        numerator = Polynomial.product_of_forms(map(project, others), graph.dimension)
+        return RationalExpr.make(numerator, [rho_form(w, edge.weight, self.pol.xi) for w in others])
+
     # -- path weights ------------------------------------------------------
 
-    def _weight_by_intersections(self, path: Path) -> RationalExpr:
-        graph, pol = self.graph, self.pol
-        m = len(path)
-        q = graph.edges[path[-1]].target
-        hats = [graph.weight(e).scale(1 / pol.pairings[e]) for e in path]
-        total = RationalExpr.from_polynomial(self.nu_plus(q))
-        if m % 2 == 1:
-            total = -total
-        total = total * self.iota(path[0]).value
-        total = total.div_form(hats[-1])
-        for k in range(1, m):
-            total = total * self.iota(path[k]).value
-            total = total.div_form(hats[k - 1] - hats[k])
-        return total
-
-    def _weight_by_transfer(self, path: Path) -> RationalExpr:
-        graph = self.graph
-        start = graph.edges[path[0]].source
-        seed = Polynomial.product_of_forms(
-            (rho_form(w, graph.weight(path[0]), self.pol.xi) for w in self.nu_factors(start)),
-            graph.dimension,
+    def _routes(self) -> tuple[tuple, tuple]:
+        """(seed, step, close) of each route, with a path weight
+        seed(e_1) step(e_1, e_2) ... step(e_{m-1}, e_m) close(e_m): -iota_e,
+        -iota_e'/(ahat_e - ahat_e') and nu_q/ahat_e, whose minus signs make up
+        (-1)^m, for the intersection-number form; rho_e(nu_p), Q(e, e') and
+        Q(e) for the transfer form."""
+        return (
+            (self._minus_iota, self._iota_step, self._iota_close),
+            (self._rho_seed, self.q_pair, self.q_edge),
         )
-        total = self.q_edge(path[-1]) * seed
-        for k in range(1, len(path)):
-            total = total * self.q_pair(path[k - 1], path[k])
-        return total
+
+    def _hat(self, eid: int) -> LinearForm:
+        return self.graph.weight(eid).scale(1 / self.pol.pairings[eid])
+
+    def _minus_iota(self, eid: int) -> RationalExpr:
+        """-iota_e read from theta and the pairing, without iota's path count."""
+        return -self.theta(eid).div_scalar(self.pol.pairings[eid])
+
+    def _iota_step(self, first: int, second: int) -> RationalExpr:
+        return self._minus_iota(second).div_form(self._hat(first) - self._hat(second))
+
+    def _iota_close(self, eid: int) -> RationalExpr:
+        return RationalExpr.make(self.nu_plus(self.graph.edges[eid].target), [self._hat(eid)])
+
+    def _rho_seed(self, eid: int) -> RationalExpr:
+        edge = self.graph.edges[eid]
+        return self._rho_ratio(edge.weight, self.pol.descending_out(edge.source), ())
 
     def path_weight(self, path: Sequence[int]) -> RationalExpr:
         """The contribution E(gamma) of a nonempty ascending path.
 
-        Both evaluation routes are computed and compared; they are distinct
-        rearrangements of the same product, so any disagreement means a bug
-        in one of them.
+        Both routes' factors are multiplied along the path and compared;
+        they are distinct rearrangements of the same product, so any
+        disagreement means a bug in one of them.
         """
         path = tuple(path)
         if not path:
@@ -283,8 +280,13 @@ class ThomCalculator:
         for eid in path:
             if not self.pol.ascending(eid):
                 raise GraphError(f"edge {self.graph.edges[eid].key()} is not ascending")
-        by_intersections = self._weight_by_intersections(path)
-        by_transfer = self._weight_by_transfer(path)
+        weights = []
+        for seed, step, close in self._routes():
+            total = seed(path[0])
+            for previous, current in zip(path, path[1:]):
+                total = total * step(previous, current)
+            weights.append(total * close(path[-1]))
+        by_intersections, by_transfer = weights
         if by_intersections != by_transfer and not by_intersections.equals(by_transfer):
             raise InternalConsistencyError(
                 f"path weight routes disagree on {[self.graph.edges[e].key() for e in path]}: "
@@ -312,21 +314,32 @@ class ThomCalculator:
         """Thom class by the path-sum formula, with checked postconditions;
         the verifier of thom_class_inductive.
 
-        The value at every vertex must reduce to a polynomial, the support
-        is the flow-up of the base, the value at the base is the product of
-        its descending weights, and every value is homogeneous of degree
-        sigma_base.
+        The sums are carried from the base once along each route and must
+        agree exactly at every vertex, reduce to a polynomial and be
+        homogeneous of degree sigma_base.  No ascending path returns to the
+        base, whose value is nu_base by construction.
         """
         from .cohomology import CohomologyClass
 
         cached = self._path_classes.get(base)
         if cached is not None:
             return cached
-        graph = self.graph
-        sigma = self.pol.sigma[base]
+        graph, pol = self.graph, self.pol
+        sigma = pol.sigma[base]
+        above = [v for v in pol.vertices_by_level() if pol.level(v) > pol.level(base)]
+        by_intersections, by_transfer = (
+            _carry(pol, {e: seed(e) for e in pol.ascending_out(base)}, above, step, close)[1]
+            for seed, step, close in self._routes()
+        )
         values = {v: Polynomial.zero(graph.dimension) for v in graph.vertices}
-        for vertex in self.paths_from(base):
-            total = self.path_sum(base, vertex)
+        values[base] = self.nu_plus(base)
+        for vertex in above:
+            total, other = by_intersections[vertex], by_transfer[vertex]
+            if total != other and not total.equals(other):
+                raise InternalConsistencyError(
+                    f"path sum routes disagree for the Thom class of {graph.label(base)} "
+                    f"at {graph.label(vertex)}: {total.render()} vs {other.render()}"
+                )
             if not total.is_polynomial:
                 raise ReductionError(
                     f"path sum at {graph.label(vertex)} did not reduce to a polynomial: "
@@ -338,10 +351,6 @@ class ThomCalculator:
                     f"value at {graph.label(vertex)} is not homogeneous of degree {sigma}"
                 )
             values[vertex] = value
-        if values[base] != self.nu_plus(base):
-            raise InternalConsistencyError(
-                f"leading value at {graph.label(base)} is not the descending product"
-            )
         result = CohomologyClass(graph, values, degree=sigma)
         self._path_classes[base] = result
         return result
@@ -455,6 +464,36 @@ class ThomCalculator:
         return self.expand_in_thom_basis(
             self.thom_class_inductive(p) * self.thom_class_inductive(q)
         )
+
+
+def _carry(
+    pol: Polarization, carried: dict[int, RationalExpr], vertices: Sequence[str], step, close=None
+) -> tuple[dict[int, RationalExpr], dict[str, RationalExpr]]:
+    """Sum a product of edge factors over ascending paths, edge by edge.
+
+    `carried` maps ascending edges to sums over the paths ending in them.
+    Each vertex, crossed in level order, takes the sums on its arriving
+    edges e and gives each leaving edge e' the sum of carried[e] step(e, e');
+    with `close`, the vertex also gets the closed sum of carried[e] close(e).
+    Zero sums are not carried.  Returns the sums left on edges leaving the
+    crossed vertices and the closed sum at every crossed vertex.
+    """
+    zero = RationalExpr.zero(pol.graph.dimension)
+    carried = dict(carried)
+    closed: dict[str, RationalExpr] = {}
+    for vertex in vertices:
+        arriving = [
+            (e, carried.pop(e))
+            for e in map(pol.graph.reverse, pol.descending_out(vertex))
+            if e in carried
+        ]
+        if close is not None:
+            closed[vertex] = sum((value * close(e) for e, value in arriving), zero)
+        for up in pol.ascending_out(vertex):
+            total = sum((value * step(e, up) for e, value in arriving), zero)
+            if not total.is_zero:
+                carried[up] = total
+    return carried, closed
 
 
 def _flip_flop(

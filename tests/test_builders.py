@@ -84,6 +84,28 @@ class TestPermutahedron:
         pol = polarize(graph)
         assert pol.self_indexing
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_connection_composes_transpositions(self, n):
+        # one-line permutations composed as functions: (p*q)(k) = p(q(k))
+        def perm(name):
+            return tuple(int(c) for c in name)
+
+        def compose(p, q):
+            return tuple(p[k - 1] for k in q)
+
+        def inverse(p):
+            return tuple(sorted(range(1, len(p) + 1), key=lambda k: p[k - 1]))
+
+        graph = permutahedron(n)
+        for edge in graph.edges:
+            pi = perm(edge.source)
+            t = compose(inverse(pi), perm(edge.target))
+            for other in graph.out_edges(edge.source):
+                t_prime = compose(inverse(pi), perm(graph.edges[other].target))
+                image = graph.edges[graph.theta(edge.eid, other)]
+                assert perm(image.source) == compose(pi, t)
+                assert perm(image.target) == compose(compose(pi, t_prime), t)
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):

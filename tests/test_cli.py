@@ -233,23 +233,33 @@ class TestStructconstCommand:
         assert "c[(12),(23) -> (231)] = 1" in out
         assert "MISMATCH" not in out
 
-    def test_no_path_weighed_twice(self, capsys, monkeypatch):
+    def test_path_classes_enumerate_no_path(self, capsys, monkeypatch):
+        # path classes are carried edge by edge: neither command may walk
+        # or weigh a single path
         from gkmcalc.thom import ThomCalculator
 
-        weighed = []
-        original = ThomCalculator.path_weight
+        def refuse(self, *args):
+            raise AssertionError("a single path was enumerated or weighed")
 
-        def recording(self, path):
-            weighed.append((id(self), tuple(path)))
-            return original(self, path)
-
-        monkeypatch.setattr(ThomCalculator, "path_weight", recording)
-        code, _, _ = run(
+        for name in ("paths_from", "path_weight", "path_sum"):
+            monkeypatch.setattr(ThomCalculator, name, refuse)
+        code, out, _ = run(
             capsys, "structconst", "--graph", "permutahedron:3", "--p", "(12)", "--q", "1"
         )
-        assert code == 0
-        assert weighed
-        assert len(set(weighed)) == len(weighed)
+        assert code == 0 and "MISMATCH" not in out
+        for minus in ([], ["--minus"]):
+            code, _, _ = run(
+                capsys,
+                "thom",
+                "--graph",
+                "permutahedron:3",
+                "--vertex",
+                "(12)",
+                "--algorithm",
+                "paths",
+                *minus,
+            )
+            assert code == 0
 
 
 class TestTransferCommand:
@@ -361,6 +371,21 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith(f"[FAIL] bad {option} value") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command,value",
+        [("betti", "abc"), ("table", "1/0,2,3")],
+    )
+    def test_malformed_xi(self, capsys, command, value):
+        code, out, err = run(capsys, command, "--graph", "permutahedron:3", "--xi", value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("[FAIL] bad --xi value") and len(err.strip().splitlines()) == 1
+
+    def test_xi_of_wrong_length_fails(self, capsys):
+        code, out, err = run(capsys, "betti", "--graph", "permutahedron:3", "--xi", "1,2")
+        assert code == 1
+        assert err.startswith("[FAIL] PolarizationError: xi has length 2")
 
     def test_zero_pairing_message_renders_xi(self, capsys):
         code, out, err = run(capsys, "betti", "--graph", "permutahedron:3", "--xi", "1,1,2")

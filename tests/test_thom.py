@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.builders import complete_graph, load_graph, permutahedron
+from gkmcalc.builders import build_graph, complete_graph, load_graph, permutahedron
 from gkmcalc.cohomology import integrate, is_cocycle
 from gkmcalc.demo import flag3_expected_table
 from gkmcalc.graph import longest_path_morse, polarize
@@ -324,6 +324,33 @@ class TestThomClassPaths:
             assert tau.values[base] == flag3_calc.nu_plus(base)
             for vertex, value in tau.values.items():
                 assert value.homogeneous_degree() in (-1, pol.sigma[base])
+
+    @pytest.mark.parametrize("spec", ["permutahedron:3", "complete:5", "square_diagonal"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_carried_sums_equal_enumerated_sums(self, data_dir, spec, reverse):
+        if spec == "square_diagonal":
+            graph = load_graph(data_dir / "square_diagonal.graph")
+        else:
+            graph = build_graph(spec)
+        calc = ThomCalculator(polarize(graph))
+        if reverse:
+            calc = calc.reversed_calculator()
+        for base in graph.vertices:
+            tau = calc.thom_class_paths(base)
+            for vertex in graph.vertices:
+                assert tau.values[vertex] == calc.path_sum(base, vertex).to_polynomial()
+
+    def test_route_disagreement_names_the_base(self, monkeypatch):
+        # one transfer factor off by two: the closed sums of the two routes
+        # then differ, and the class must not be returned
+        from gkmcalc.errors import InternalConsistencyError
+
+        original = ThomCalculator.q_edge
+        monkeypatch.setattr(ThomCalculator, "q_edge", lambda self, eid: original(self, eid) * 2)
+        graph = permutahedron(3)
+        calc = ThomCalculator(polarize(graph))
+        with pytest.raises(InternalConsistencyError, match=r"Thom class of \(12\) at"):
+            calc.thom_class_paths(graph.vertex_by_label("(12)"))
 
 
 class TestThomClassInductive:
