@@ -100,37 +100,38 @@ def permutahedron(n: int) -> GkmGraph:
     transpositions = list(itertools.combinations(range(n), 2))
 
     def weight(perm: tuple[int, ...], i: int, j: int) -> LinearForm:
-        coeffs = [Fraction(0)] * n
+        coeffs = [0] * n
         if perm[j] > perm[i]:
-            coeffs[j], coeffs[i] = Fraction(1), Fraction(-1)
+            coeffs[j], coeffs[i] = 1, -1
         else:
-            coeffs[i], coeffs[j] = Fraction(1), Fraction(-1)
-        return LinearForm(tuple(coeffs))
+            coeffs[i], coeffs[j] = 1, -1
+        return LinearForm(coeffs)
 
+    name_of = dict(zip(perms, names))
     undirected = []
     for perm in perms:
         for i, j in transpositions:
             other = _swap(perm, i, j)
             if perm < other:
-                undirected.append((_one_line_name(perm), _one_line_name(other), weight(perm, i, j)))
+                undirected.append((name_of[perm], name_of[other], weight(perm, i, j)))
     labels = dict(FLAG3_LABELS) if n == 3 else None
     graph = GkmGraph.from_undirected(
         n, names, undirected, labels=labels, default_xi=rat_vector(range(1, n + 1))
     )
 
-    def positions(eid: int) -> list[int]:
-        """The transposition t of the edge pi -> pi*t: where the names differ."""
-        edge = graph.edges[eid]
-        return [k for k in range(n) if edge.source[k] != edge.target[k]]
-
+    perm_of = dict(zip(names, perms))
+    # the transposition t of each edge pi -> pi*t: where the names differ
+    positions = [
+        [k for k in range(n) if edge.source[k] != edge.target[k]] for edge in graph.edges
+    ]
     connection = {}
     for edge in graph.edges:
-        pi = tuple(int(c) for c in edge.source)
-        tau = positions(edge.eid)
+        pi = perm_of[edge.source]
+        tau = positions[edge.eid]
         for other in graph.out_edges(edge.source):
             # t' = t gives pi*t*t = pi, the reversal
-            image_target = _swap(_swap(pi, *positions(other)), *tau)
-            image = graph.edge_between(edge.target, _one_line_name(image_target))
+            image_target = _swap(_swap(pi, *positions[other]), *tau)
+            image = graph.edge_between(edge.target, name_of[image_target])
             if image is None:
                 raise GraphError("permutahedron connection image missing")
             connection[(edge.eid, other)] = image
@@ -180,22 +181,36 @@ def save_graph(graph: GkmGraph, path: Union[str, Path]) -> None:
     Path(path).write_text(dumps_graph(graph))
 
 
-def _parse_weight(raw, dim: int, where: str) -> LinearForm:
+def _parse_vector(raw, dim: int, where: str) -> tuple[Fraction, ...]:
     if not isinstance(raw, list) or len(raw) != dim:
-        raise FormatError(f"{where}: weight must be a list of {dim} rationals")
+        raise FormatError(f"{where} must be a list of {dim} rationals")
     try:
-        return LinearForm(rat_vector(raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{where}: bad rational in weight ({exc})") from exc
+        return rat_vector(raw)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise FormatError(f"{where}: bad rational ({exc})") from exc
 
 
 def graph_from_document(document: dict, validate_result: bool = True) -> GkmGraph:
+    """Build a graph from its JSON document; FormatError on a malformed one.
+
+    A connection that is left out is derived (derive_connection), which
+    raises GraphError when it is not unique."""
+    missing = [key for key in ("dimension", "vertices", "edges") if key not in document]
+    if missing:
+        raise FormatError(f"missing field(s) {', '.join(map(repr, missing))}")
     try:
         dimension = int(document["dimension"])
-        vertices = [str(v) for v in document["vertices"]]
-        edge_records = document["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"missing or malformed field: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed field 'dimension': {exc}") from exc
+    if dimension < 0:
+        raise FormatError(f"negative dimension {dimension}")
+    raw_vertices, edge_records = document["vertices"], document["edges"]
+    if not isinstance(raw_vertices, list) or not isinstance(edge_records, list):
+        raise FormatError("fields 'vertices' and 'edges' must be JSON arrays")
+    vertices = [str(v) for v in raw_vertices]
+    labels, raw_connection = document.get("labels", {}), document.get("connection")
+    if not isinstance(labels, dict) or not isinstance(raw_connection, (dict, type(None))):
+        raise FormatError("fields 'labels' and 'connection' must be JSON objects")
 
     # one entry per undirected edge: the listed orientation plus an optional
     # explicitly-listed reversal (validation checks the weights are negatives)
@@ -207,7 +222,7 @@ def graph_from_document(document: dict, validate_result: bool = True) -> GkmGrap
             source, target = str(record["from"]), str(record["to"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{where}: needs 'from' and 'to'") from exc
-        weight = _parse_weight(record.get("weight"), dimension, where)
+        weight = LinearForm(_parse_vector(record.get("weight"), dimension, f"{where}: weight"))
         if (source, target) in index:
             raise FormatError(f"{where}: duplicate edge {source}>{target}")
         if (target, source) in index and pairs[index[(target, source)]][1] is None:
@@ -227,20 +242,24 @@ def graph_from_document(document: dict, validate_result: bool = True) -> GkmGrap
         else:
             complete.append(OrientedEdge(eid + 1, second[0], second[1], second[2]))
 
-    labels = {str(k): str(v) for k, v in document.get("labels", {}).items()}
-    xi = rat_vector(document["xi"]) if "xi" in document else None
-    graph = GkmGraph(dimension, vertices, complete, labels=labels, default_xi=xi)
+    labels = {str(k): str(v) for k, v in labels.items()}
+    xi = _parse_vector(document["xi"], dimension, "xi") if document.get("xi") is not None else None
+    try:
+        graph = GkmGraph(dimension, vertices, complete, labels=labels, default_xi=xi)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
 
     if validate_result:
         axial = validate_axial(graph)
         if not axial.ok:
             raise FormatError("graph fails validation:\n" + str(axial))
 
-    raw_connection = document.get("connection")
     if raw_connection:
         connection = {}
         for key, value in raw_connection.items():
             try:
+                if not isinstance(value, str):
+                    raise ValueError(f"image {value!r} is not an edge key")
                 left, right = key.split("|")
                 e = _edge_by_key(graph, left)
                 other = _edge_by_key(graph, right)

@@ -274,7 +274,8 @@ class Polarization:
     """Orientation, indices and Morse function phi induced by a vector xi.
 
     Built only by longest_path_morse, which checks every condition; the
-    pairings, sigma and phi are read-only mappings."""
+    pairings, sigma, phi and the ascending and descending edges at each
+    vertex are read-only mappings."""
 
     graph: GkmGraph
     xi: tuple[Fraction, ...]
@@ -282,18 +283,20 @@ class Polarization:
     sigma: Mapping[str, int]
     phi: Mapping[str, Fraction]
     self_indexing: bool
+    _ascending: Mapping[str, tuple[int, ...]]
+    _descending: Mapping[str, tuple[int, ...]]
 
     def sign(self, eid: int) -> int:
-        return 1 if self.pairings[eid] > 0 else -1
+        return 1 if self.ascending(eid) else -1
 
     def ascending(self, eid: int) -> bool:
-        return self.pairings[eid] > 0
+        return eid in self._ascending[self.graph.edges[eid].source]
 
     def ascending_out(self, vertex: str) -> tuple[int, ...]:
-        return tuple(e for e in self.graph.out_edges(vertex) if self.ascending(e))
+        return self._ascending[vertex]
 
     def descending_out(self, vertex: str) -> tuple[int, ...]:
-        return tuple(e for e in self.graph.out_edges(vertex) if not self.ascending(e))
+        return self._descending[vertex]
 
     def level(self, vertex: str) -> Fraction:
         return self.phi[vertex]
@@ -315,27 +318,25 @@ class Polarization:
         return all(value != level for level in self.critical_levels())
 
 
-def _longest_ascending_paths(graph: GkmGraph, pairings: dict[int, Fraction]) -> dict[str, int]:
+def _longest_ascending_paths(
+    graph: GkmGraph, ascending: Mapping[str, tuple[int, ...]], descending: Mapping[str, tuple[int, ...]]
+) -> dict[str, int]:
     """Longest ascending path ending at each vertex, by Kahn's algorithm: a
     vertex leaves the queue after all its predecessors, so its length is final
     when it relaxes its ascending edges.  Raises on an ascending loop."""
-    indegree = {v: 0 for v in graph.vertices}
-    for edge in graph.edges:
-        if pairings[edge.eid] > 0:
-            indegree[edge.target] += 1
+    indegree = {v: len(descending[v]) for v in graph.vertices}
     longest = {v: 0 for v in graph.vertices}
     queue = [v for v in graph.vertices if indegree[v] == 0]
     done = 0
     while queue:
         v = queue.pop()
         done += 1
-        for eid in graph.out_edges(v):
-            if pairings[eid] > 0:
-                w = graph.edges[eid].target
-                longest[w] = max(longest[w], longest[v] + 1)
-                indegree[w] -= 1
-                if indegree[w] == 0:
-                    queue.append(w)
+        for eid in ascending[v]:
+            w = graph.edges[eid].target
+            longest[w] = max(longest[w], longest[v] + 1)
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                queue.append(w)
     if done != len(graph.vertices):
         raise PolarizationError("ascending loop: no Morse function exists for this xi")
     return longest
@@ -367,10 +368,13 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
                 f"xi=({', '.join(map(format_rational, vector))})"
             )
         pairings[edge.eid] = value
-    sigma = {
-        v: sum(1 for e in graph.out_edges(v) if pairings[e] < 0) for v in graph.vertices
-    }
-    longest = _longest_ascending_paths(graph, pairings)
+    ascending: dict[str, tuple[int, ...]] = {}
+    descending: dict[str, tuple[int, ...]] = {}
+    for v in graph.vertices:
+        ascending[v] = tuple(e for e in graph.out_edges(v) if pairings[e] > 0)
+        descending[v] = tuple(e for e in graph.out_edges(v) if pairings[e] < 0)
+    sigma = {v: len(descending[v]) for v in graph.vertices}
+    longest = _longest_ascending_paths(graph, ascending, descending)
 
     for comp in graph.components():
         minima = [v for v in comp if sigma[v] == 0]
@@ -390,6 +394,8 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
         types.MappingProxyType(sigma),
         types.MappingProxyType(phi),
         self_indexing,
+        types.MappingProxyType(ascending),
+        types.MappingProxyType(descending),
     )
 
 

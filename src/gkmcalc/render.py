@@ -7,6 +7,7 @@ parser that inverts the canonical rendering, and fixed-width table layout.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -20,6 +21,12 @@ def root_basis_names(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(1, n))
 
 
+@functools.lru_cache(maxsize=16)
+def _coordinates_in_roots(n: int) -> tuple[LinearForm, ...]:
+    """e_k = e_1 + a_1 + ... + a_{k-1}, with e_1 kept as the first variable."""
+    return tuple(LinearForm([1] * (k + 1) + [0] * (n - 1 - k)) for k in range(n))
+
+
 def to_root_basis(poly: Polynomial) -> Polynomial:
     """Rewrite a polynomial in e_1..e_n in the simple roots a_i = e_{i+1}-e_i.
 
@@ -27,14 +34,7 @@ def to_root_basis(poly: Polynomial) -> Polynomial:
     subring; anything else raises.
     """
     n = poly.dim
-    forms = []
-    for k in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[0] = Fraction(1)
-        for i in range(1, k + 1):
-            coeffs[i] = Fraction(1)
-        forms.append(LinearForm(tuple(coeffs)))
-    image = poly.substitute(forms)
+    image = poly.substitute(_coordinates_in_roots(n))
     dropped: dict = {}
     for expo, coeff in image.terms.items():
         if expo[0] != 0:

@@ -3,8 +3,9 @@
 Everything in the package funnels through three value types:
 
 * :class:`LinearForm` -- an element of g*, a coefficient vector over a fixed
-  basis x_1, ..., x_n.  Edge weights, polarization projections and
-  interpolation nodes are all linear forms.
+  basis x_1, ..., x_n, stored as int numerators over one shared positive
+  denominator.  Edge weights, polarization projections, interpolation nodes
+  and the denominator factors of rational expressions are all linear forms.
 * :class:`Polynomial` -- a sparse element of S(g*) with exact rational
   coefficients, rendered in the graded-lexicographic term order with
   x_1 > ... > x_n.  Each monomial is packed into one int with a guarded
@@ -16,9 +17,10 @@ Everything in the package funnels through three value types:
   formulas is a product of linear forms, so simplification is trial
   division rather than general multivariate gcd.
 
-No floating point appears anywhere.  Linear-form coefficients and every
-rational value a caller sees are `fractions.Fraction`; `Polynomial.terms`
-shows the packed storage as {exponent tuple: Fraction}.
+No floating point appears anywhere, and the arithmetic of all three types
+runs on ints.  Every rational value a caller sees is a `fractions.Fraction`:
+`LinearForm.coeffs` shows a form's storage as a tuple of Fractions and
+`Polynomial.terms` shows the packed storage as {exponent tuple: Fraction}.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -53,6 +54,16 @@ def rat_vector(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
 
 
+def _int_vector(values: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
+    """(ints, den) with values = ints/den for the least positive den; ints and
+    Fractions are read as they are, anything else goes through rat."""
+    values = [v if isinstance(v, (int, Fraction)) else rat(v) for v in values]
+    den = math.lcm(*[v.denominator for v in values])
+    if den == 1:
+        return tuple([v.numerator for v in values]), 1
+    return tuple([v.numerator * (den // v.denominator) for v in values]), den
+
+
 def format_rational(value: Fraction) -> str:
     """Canonical text for a rational: integers bare, otherwise "p/q"."""
     if value.denominator == 1:
@@ -68,74 +79,115 @@ def default_names(dim: int) -> tuple[str, ...]:
 # linear forms
 
 
-@dataclass(frozen=True)
 class LinearForm:
-    """A linear form sum_i c_i x_i with exact rational coefficients."""
+    """A linear form sum_i c_i x_i with exact rational coefficients.
 
-    coeffs: tuple[Fraction, ...]
+    Stored like Polynomial's coefficients: an int numerator tuple over one
+    positive shared denominator with no common factor, so equal forms store
+    equal tuples and structural equality is mathematical equality.  The hash
+    is computed once.  The constructor takes ints, Fractions and "p/q"
+    strings; `coeffs` is the read-only Fraction view, built on first use.
+    """
+
+    __slots__ = ("_num", "_den", "_hash", "_coeffs", "_poly")
+
+    def __new__(cls, coeffs: Iterable[RationalLike]) -> "LinearForm":
+        return LinearForm._canonical(*_int_vector(coeffs))
+
+    @staticmethod
+    def _canonical(num: tuple[int, ...], den: int) -> "LinearForm":
+        """Wrap int numerators over a nonzero den, making den positive and
+        dividing out the common factor."""
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+        form = object.__new__(LinearForm)
+        form._num, form._den, form._hash = num, den, hash((num, den))
+        form._coeffs = form._poly = None
+        return form
+
+    def __reduce__(self):
+        return LinearForm._canonical, (self._num, self._den)
 
     @staticmethod
     def make(values: Iterable[RationalLike]) -> "LinearForm":
-        return LinearForm(rat_vector(values))
+        return LinearForm(values)
 
     @staticmethod
     def zero(dim: int) -> "LinearForm":
-        return LinearForm((ZERO,) * dim)
+        return LinearForm._canonical((0,) * dim, 1)
 
     @staticmethod
     def basis(index: int, dim: int) -> "LinearForm":
         """The coordinate form x_{index+1}."""
-        return LinearForm(tuple(ONE if i == index else ZERO for i in range(dim)))
+        return LinearForm._canonical(tuple(int(i == index) for i in range(dim)), 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as a read-only tuple of Fractions."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(c, den) for c in self._num)
+        return self._coeffs
 
     @property
     def dim(self) -> int:
-        return len(self.coeffs)
+        return len(self._num)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def _check_dim(self, other: "LinearForm") -> None:
         if self.dim != other.dim:
             raise DimensionError(f"linear forms of dimension {self.dim} and {other.dim}")
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
+    def _combine(self, other: "LinearForm", sign: int) -> "LinearForm":
+        """self + sign * other over the least common denominator."""
         self._check_dim(other)
-        return LinearForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        return LinearForm._canonical(tuple(a * x + b * y for x, y in zip(self._num, other._num)), den)
+
+    def __add__(self, other: "LinearForm") -> "LinearForm":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "LinearForm") -> "LinearForm":
-        self._check_dim(other)
-        return LinearForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple(-a for a in self.coeffs))
+        return LinearForm._canonical(tuple(-c for c in self._num), self._den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearForm):
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def scale(self, factor: RationalLike) -> "LinearForm":
         f = rat(factor)
-        return LinearForm(tuple(f * a for a in self.coeffs))
+        return LinearForm._canonical(tuple(f.numerator * c for c in self._num), self._den * f.denominator)
 
     def pair(self, xi: Sequence[RationalLike]) -> Fraction:
         """Dual pairing of the form with a vector xi in g."""
         if len(xi) != self.dim:
             raise DimensionError(f"form of dimension {self.dim} paired with vector of length {len(xi)}")
-        return sum((c * rat(x) for c, x in zip(self.coeffs, xi)), start=ZERO)
+        direction, den = _int_vector(xi)
+        return Fraction(sum(map(operator.mul, self._num, direction)), self._den * den)
 
     def proportional(self, other: "LinearForm") -> bool:
         """True when one form is a rational multiple of the other (zero counts)."""
         self._check_dim(other)
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        ratio: Optional[Fraction] = None
-        for a, b in zip(self.coeffs, other.coeffs):
-            if a == 0 and b == 0:
-                continue
-            if a == 0 or b == 0:
-                return False
-            if ratio is None:
-                ratio = a / b
-            elif a != ratio * b:
-                return False
-        return True
+        a, b = self._num, other._num
+        if not any(a) or not any(b):
+            return not any(a) and not any(b)
+        j = next(i for i, c in enumerate(a) if c)
+        return all(x * b[j] == y * a[j] for x, y in zip(a, b))
 
     def normalized(self) -> tuple["LinearForm", Fraction]:
         """Return (monic form, scale) with self == scale * monic.
@@ -143,30 +195,26 @@ class LinearForm:
         "Monic" means the first nonzero coefficient is 1; used to key
         denominator multisets so that scalar multiples merge.
         """
-        for c in self.coeffs:
-            if c != 0:
-                return self.scale(1 / c), c
+        for c in self._num:
+            if c:
+                return LinearForm._canonical(self._num, c), Fraction(c, self._den)
         raise ValueError("cannot normalize the zero form")
 
-    @functools.cached_property
-    def _polynomial(self) -> "Polynomial":
-        n = self.dim
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        num = {
-            1 << _FIELD * (n - 1 - i): c.numerator * (den // c.denominator)
-            for i, c in enumerate(self.coeffs)
-            if c
-        }
-        return Polynomial._canonical(n, num, den)
-
     def as_polynomial(self) -> "Polynomial":
-        return self._polynomial
+        if self._poly is None:
+            n = len(self._num)
+            num = {1 << _FIELD * (n - 1 - i): c for i, c in enumerate(self._num) if c}
+            self._poly = Polynomial._canonical(n, num, self._den)
+        return self._poly
 
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         return self.as_polynomial().render(names)
 
     def __str__(self) -> str:
         return self.render()
+
+    def __repr__(self) -> str:
+        return f"LinearForm({self.render()})"
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +303,6 @@ def _mul_terms(d1: dict, d2: dict, guard: int) -> dict:
     if 0 in out.values():
         return {key: value for key, value in out.items() if value}
     return out
-
-
-def _int_vector(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, den) with values = ints/den for the least positive den."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _derivative(terms: dict, direction: Sequence[int], dim: int) -> dict:
@@ -515,7 +557,7 @@ class Polynomial:
             for key, value in terms.items():
                 e = key >> shift & _FIELD_MASK
                 slices.setdefault(e, {})[key - (e << shift)] = value
-            top = max(slices)
+            top = max(slices, default=0)  # no terms left once a variable maps to 0
             if top == 0:
                 continue
             terms = slices[top]
@@ -528,10 +570,9 @@ class Polynomial:
 
     def directional_derivative(self, xi: Sequence[RationalLike]) -> "Polynomial":
         """Derivative along the vector xi; zero iff the value lies in S(g*_xi)."""
-        values = rat_vector(xi)
-        if len(values) != self.dim:
+        if len(xi) != self.dim:
             raise DimensionError("direction vector has wrong length")
-        direction, den = _int_vector(values)
+        direction, den = _int_vector(xi)
         return Polynomial._canonical(self.dim, _derivative(self._num, direction, self.dim), self._den * den)
 
     # -- division ---------------------------------------------------------
@@ -639,11 +680,20 @@ def rho_form(form: LinearForm, edge_weight: LinearForm, xi: Sequence[RationalLik
 
     rho_e(alpha) = alpha - (alpha(xi)/alpha_e(xi)) * alpha_e.  Orientation
     of the edge does not matter: negating the weight leaves rho unchanged.
+    With A/D = alpha, W/D' = alpha_e and X an int multiple of xi it is
+    (A W(X) - A(X) W) / (W(X) D), one int expression.
     """
-    denom = edge_weight.pair(xi)
-    if denom == 0:
+    if form.dim != edge_weight.dim or len(xi) != form.dim:
+        raise DimensionError(
+            f"form of dimension {form.dim}, weight of dimension {edge_weight.dim}, xi of length {len(xi)}"
+        )
+    direction, _ = _int_vector(xi)
+    a, w = form._num, edge_weight._num
+    wx = sum(map(operator.mul, w, direction))
+    if wx == 0:
         raise PolarizationError(f"edge weight {edge_weight} pairs to zero with xi")
-    return form - edge_weight.scale(form.pair(xi) / denom)
+    ax = sum(map(operator.mul, a, direction))
+    return LinearForm._canonical(tuple(wx * x - ax * y for x, y in zip(a, w)), wx * form._den)
 
 
 def rho_poly(poly: Polynomial, edge_weight: LinearForm, xi: Sequence[RationalLike]) -> Polynomial:
@@ -659,7 +709,7 @@ def rho_poly(poly: Polynomial, edge_weight: LinearForm, xi: Sequence[RationalLik
             f"polynomial of dimension {n}, form of dimension {edge_weight.dim}, xi of length {len(xi)}"
         )
     # with int multiples W of alpha_e and X of xi, t = W(x)/s for s = W(X)
-    direction, _ = _int_vector(rat_vector(xi))
+    direction, _ = _int_vector(xi)
     weight = edge_weight.as_polynomial()._num
     s = sum(a * direction[n - 1 - (key.bit_length() - 1) // _FIELD] for key, a in weight.items())
     if s == 0:
@@ -708,7 +758,7 @@ class RationalExpr:
     def make(num: Polynomial, factors: Iterable[Union[LinearForm, DenFactor]] = ()) -> "RationalExpr":
         """Build and canonicalize; `factors` may repeat and need not be monic."""
         collected: dict[LinearForm, int] = {}
-        scale = ONE
+        top = bottom = 1  # the scalar the factors carry, top/bottom
         for item in factors:
             if isinstance(item, LinearForm):
                 form, mult = item, 1
@@ -722,10 +772,11 @@ class RationalExpr:
                 raise ZeroDivisionError("zero linear form in denominator")
             monic, s = form.normalized()
             collected[monic] = collected.get(monic, 0) + mult
-            scale *= s**mult
+            top *= s.numerator**mult
+            bottom *= s.denominator**mult
         if num.is_zero:
             return RationalExpr(num, ())
-        num = num * (1 / scale)
+        num = num * Fraction(bottom, top)
         return RationalExpr._reduced(num, collected)
 
     @staticmethod
@@ -741,7 +792,12 @@ class RationalExpr:
                 collected[form] -= 1
             if collected[form] == 0:
                 del collected[form]
-        den = tuple(sorted(collected.items(), key=lambda kv: kv[0].coeffs))
+        # the monic-coefficient order, compared on numerators over one
+        # common denominator
+        common = math.lcm(*(form._den for form in collected))
+        den = tuple(
+            sorted(collected.items(), key=lambda kv: [c * (common // kv[0]._den) for c in kv[0]._num])
+        )
         return RationalExpr(num, den)
 
     @staticmethod

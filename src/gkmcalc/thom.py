@@ -24,8 +24,9 @@ two independent routes,
 so the path sums are carried edge by edge (_carry, which also sweeps the
 transfer matrices of crosssection), once along each route; the two must
 agree exactly, and disagreement raises, as a bug trap.  Paths are
-enumerated only where a path is the object: path_weight, path_sum,
-has_unique_path and the nearby-path configurations.
+enumerated only where a path is the object: path_weight and path_sum;
+has_unique_path and the nearby-path configurations only count and measure
+them, by one sweep (path_counts).
 """
 
 from __future__ import annotations
@@ -73,9 +74,13 @@ class ThomCalculator:
         self._nu: dict[str, Polynomial] = {}
         self._nu_factors: dict[str, tuple[LinearForm, ...]] = {}
         self._paths: dict[str, dict[str, list[Path]]] = {}
+        self._path_counts: dict[str, dict[str, tuple[int, int]]] = {}
         self._theta: dict[int, RationalExpr] = {}
         self._q_edge: dict[int, RationalExpr] = {}
         self._q_pair: dict[tuple[int, int], RationalExpr] = {}
+        self._minus_iotas: dict[int, RationalExpr] = {}
+        self._iota_steps: dict[tuple[int, int], RationalExpr] = {}
+        self._iota_closes: dict[int, RationalExpr] = {}
         self._classes: dict[str, "CohomologyClass"] = {}
         self._path_classes: dict[str, "CohomologyClass"] = {}
         self._reversed: Optional["ThomCalculator"] = None
@@ -131,10 +136,32 @@ class ThomCalculator:
     def ascending_paths(self, p: str, q: str) -> list[Path]:
         return self.paths_from(p).get(q, [])
 
+    def path_counts(self, start: str) -> dict[str, tuple[int, int]]:
+        """(number of ascending paths, length of the longest) from a vertex to
+        each vertex it reaches, itself included as (1, 0).
+
+        One sweep in level order: each vertex sums the counts and extends the
+        longest lengths at the lower ends of its descending edges, so no
+        path is enumerated.
+        """
+        cached = self._path_counts.get(start)
+        if cached is not None:
+            return cached
+        edges, pol = self.graph.edges, self.pol
+        counts = {start: (1, 0)}
+        for vertex in pol.vertices_by_level():
+            arriving = [
+                counts[edges[e].target] for e in pol.descending_out(vertex) if edges[e].target in counts
+            ]
+            if arriving:
+                counts[vertex] = (sum(n for n, _ in arriving), 1 + max(m for _, m in arriving))
+        self._path_counts[start] = counts
+        return counts
+
     def has_unique_path(self, eid: int) -> bool:
         """True when the edge is the only ascending path joining its endpoints."""
         edge = self.graph.edges[eid]
-        return len(self.ascending_paths(edge.source, edge.target)) == 1
+        return self.path_counts(edge.source)[edge.target][0] == 1
 
     # -- intersection numbers ----------------------------------------------
 
@@ -252,13 +279,26 @@ class ThomCalculator:
 
     def _minus_iota(self, eid: int) -> RationalExpr:
         """-iota_e read from theta and the pairing, without iota's path count."""
-        return -self.theta(eid).div_scalar(self.pol.pairings[eid])
+        cached = self._minus_iotas.get(eid)
+        if cached is None:
+            cached = -self.theta(eid).div_scalar(self.pol.pairings[eid])
+            self._minus_iotas[eid] = cached
+        return cached
 
     def _iota_step(self, first: int, second: int) -> RationalExpr:
-        return self._minus_iota(second).div_form(self._hat(first) - self._hat(second))
+        key = (first, second)
+        cached = self._iota_steps.get(key)
+        if cached is None:
+            cached = self._minus_iota(second).div_form(self._hat(first) - self._hat(second))
+            self._iota_steps[key] = cached
+        return cached
 
     def _iota_close(self, eid: int) -> RationalExpr:
-        return RationalExpr.make(self.nu_plus(self.graph.edges[eid].target), [self._hat(eid)])
+        cached = self._iota_closes.get(eid)
+        if cached is None:
+            cached = RationalExpr.make(self.nu_plus(self.graph.edges[eid].target), [self._hat(eid)])
+            self._iota_closes[eid] = cached
+        return cached
 
     def _rho_seed(self, eid: int) -> RationalExpr:
         edge = self.graph.edges[eid]
@@ -556,8 +596,7 @@ def nearby_path_configurations(calc: ThomCalculator) -> list[TriangleConfigurati
         q = graph.edges[diagonal].target
         if pol.sigma[q] != pol.sigma[p] + 2:
             continue
-        longest = max(len(path) for path in calc.ascending_paths(p, q))
-        if longest != 2:
+        if calc.path_counts(p)[q][1] != 2:
             continue
         for lower in pol.ascending_out(p):
             r = graph.edges[lower].target

@@ -1,7 +1,11 @@
+import functools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmcalc.builders import (
     build_graph,
@@ -167,6 +171,84 @@ class TestFileFormat:
         assert graph.dimension == 2
         pol = polarize(graph)
         assert pol.self_indexing
+
+
+@functools.lru_cache(maxsize=1)
+def _square_text() -> str:
+    return dumps_graph(load_graph(Path(__file__).parent / "data" / "square_diagonal.graph"))
+
+
+def square_document() -> dict:
+    """A fresh copy of square_diagonal.graph with its derived connection
+    written out: one mutation then never reaches derive_connection, whose
+    failures are GraphError by contract (see the ambiguity tests above)."""
+    return json.loads(_square_text())
+
+
+def _parent(document, path):
+    """(container, key) of the value at a path of keys and indices."""
+    *parents, key = path
+    for step in parents:
+        document = document[step]
+    return document, key
+
+
+MALFORMED = {
+    "labels": (("labels",), ["a"]),
+    "connection": (("connection",), ["a"]),
+    "connection value": (("connection", "p1>p2|p1>p2"), 5),
+    "xi": (("xi",), 5),
+    "edges": (("edges",), 5),
+    "weight entry": (("edges", 0, "weight", 0), None),
+    "xi length": (("xi",), [1]),
+    "dimension": (("dimension",), float("inf")),
+    "duplicate vertices": (("vertices",), ["p1", "p1", "p2", "p3"]),
+}
+
+
+def _document_nodes(node, path=()):
+    """The path of every value below the root, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _document_nodes(child, path + (key,))
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats()
+    | st.sampled_from(["0", "1", "-1", "1/2", "2/0", "x", "", "p1", "p1>p2"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestMalformedDocument:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_raises_format_error(self, case):
+        path, value = MALFORMED[case]
+        document = square_document()
+        target, key = _parent(document, path)
+        target[key] = value
+        with pytest.raises(FormatError):
+            graph_from_document(document)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutation_raises_format_error_or_loads(self, data):
+        document = square_document()
+        target, key = _parent(document, data.draw(st.sampled_from(list(_document_nodes(document)))))
+        if data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(json_values)
+        try:
+            graph_from_document(document)
+        except FormatError:
+            pass
 
 
 class TestBuildGraph:

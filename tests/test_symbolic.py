@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmcalc.errors import ReductionError
+from gkmcalc.errors import DimensionError, PolarizationError, ReductionError
 from gkmcalc.symbolic import (
     _MAX_EXPONENT,
     LinearForm,
@@ -352,6 +352,10 @@ class TestPackedKernel:
             ]
             assert rho_poly(pa, form, xi).terms == ref_substitute(a, rho_images, dim)
 
+    def test_substitution_through_zero(self):
+        # x1 -> 0 leaves no terms before x2 is expanded
+        assert X1.as_polynomial().substitute([LinearForm.zero(1)] * 2).is_zero
+
     def test_product_past_exponent_range_raises(self):
         top = _MAX_EXPONENT
         x2 = Polynomial.variable(1, 2)
@@ -369,3 +373,87 @@ class TestPackedKernel:
         high = Polynomial(2, {(top, 1): 1})
         with pytest.raises(OverflowError):
             high.substitute([X2, X2])
+
+
+# -- linear forms against a plain Fraction-tuple reference
+
+
+def as_text(value):
+    value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+# one coefficient as an int, a Fraction or a "p/q" string
+mixed_rationals = st.one_of(st.integers(-12, 12), rationals, rationals.map(as_text))
+
+
+@st.composite
+def form_cases(draw):
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(mixed_rationals, min_size=dim, max_size=dim)
+    a, b, xi = draw(vector), draw(vector), draw(vector)
+    if draw(st.booleans()):  # often proportional
+        ratio = draw(rationals)
+        b = [Fraction(c) * ratio for c in a]
+    return a, b, xi, draw(mixed_rationals)
+
+
+def ref_proportional(a, b):
+    if not any(a) or not any(b):
+        return not any(a) and not any(b)
+    ratio = None
+    for x, y in zip(a, b):
+        if x == 0 and y == 0:
+            continue
+        if x == 0 or y == 0:
+            return False
+        if ratio is None:
+            ratio = x / y
+        elif x != ratio * y:
+            return False
+    return True
+
+
+class TestLinearForm:
+    @given(form_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_fraction_reference(self, case):
+        a_in, b_in, xi_in, factor = case
+        a, b, xi = (tuple(Fraction(c) for c in v) for v in (a_in, b_in, xi_in))
+        f = Fraction(factor)
+        A, B = LinearForm(a_in), LinearForm.make(b_in)
+        assert A.coeffs == a and B.coeffs == b
+        assert all(type(c) is Fraction for c in A.coeffs)
+        # equal forms built from ints, Fractions and strings compare and hash equal
+        for same in (LinearForm(a), LinearForm([as_text(c) for c in a]), (A + B) - B, -(-A)):
+            assert same == A and hash(same) == hash(A)
+        assert (A == B) == (a == b)
+        assert (A + B).coeffs == tuple(x + y for x, y in zip(a, b))
+        assert (A - B).coeffs == tuple(x - y for x, y in zip(a, b))
+        assert (-A).coeffs == tuple(-x for x in a)
+        assert A.scale(factor).coeffs == tuple(f * x for x in a)
+        assert A.pair(xi_in) == sum((x * y for x, y in zip(a, xi)), Fraction(0))
+        assert A.proportional(B) == ref_proportional(a, b)
+        assert A.is_zero == (not any(a))
+        if any(a):
+            monic, scale = A.normalized()
+            lead = next(c for c in a if c)
+            assert scale == lead
+            assert monic.coeffs == tuple(x / lead for x in a)
+        else:
+            with pytest.raises(ValueError):
+                A.normalized()
+        assert A.as_polynomial().terms == ref_form(a)
+        pairing = sum((y * z for y, z in zip(b, xi)), Fraction(0))
+        if pairing:
+            ratio = sum((x * z for x, z in zip(a, xi)), Fraction(0)) / pairing
+            assert rho_form(A, B, xi_in).coeffs == tuple(x - ratio * y for x, y in zip(a, b))
+        else:
+            with pytest.raises(PolarizationError):
+                rho_form(A, B, xi_in)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            X1 + A1
+        with pytest.raises(DimensionError):
+            rho_form(X1, X2, (1, 2, 3))

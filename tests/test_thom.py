@@ -7,6 +7,7 @@ from gkmcalc.builders import build_graph, complete_graph, load_graph, permutahed
 from gkmcalc.cohomology import integrate, is_cocycle
 from gkmcalc.demo import flag3_expected_table
 from gkmcalc.graph import longest_path_morse, polarize
+from gkmcalc.render import to_root_basis
 from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr
 from gkmcalc.thom import (
     ThomCalculator,
@@ -67,6 +68,22 @@ class TestAscendingPaths:
                 assert sorted(calc.ascending_paths(p, q)) == brute_force_paths(
                     graph, pol, p, q
                 )
+
+    @pytest.mark.parametrize(
+        "spec", ["permutahedron:3", "permutahedron:4", "complete:5", "square_diagonal.graph"]
+    )
+    def test_counts_match_enumeration(self, data_dir, spec):
+        graph = load_graph(data_dir / spec) if spec.endswith(".graph") else build_graph(spec)
+        calc = ThomCalculator(polarize(graph))
+        for p in graph.vertices:
+            assert calc.path_counts(p) == {
+                q: (len(paths), max(map(len, paths))) for q, paths in calc.paths_from(p).items()
+            }
+        for eid in (e.eid for e in graph.edges if calc.pol.ascending(e.eid)):
+            edge = graph.edges[eid]
+            assert calc.has_unique_path(eid) == (
+                calc.ascending_paths(edge.source, edge.target) == [(eid,)]
+            )
 
 
 class TestTheta:
@@ -520,6 +537,29 @@ class TestExpansion:
         values[graph.vertex_by_label("(13)")] = Polynomial.one(3)
         with pytest.raises(SpanError):
             flag3_calc.expand_in_thom_basis(CohomologyClass(graph, values))
+
+
+class TestGrahamPositivity:
+    """Graham (Duke 2001): every c_pq^r of the flag variety is a polynomial
+    with nonnegative coefficients in the simple roots alpha_i = x_i - x_{i+1}.
+    to_root_basis writes it in a_i = x_{i+1} - x_i = -alpha_i, so a constant
+    of degree d has coefficients (-1)^d times those in the alpha_i."""
+
+    @pytest.mark.parametrize("n,nonzero", [(3, 44), (4, 1105)])
+    def test_structure_constants_are_positive(self, n, nonzero):
+        calc = ThomCalculator(polarize(permutahedron(n)))
+        vertices = calc.graph.vertices
+        constants = [
+            value
+            for p in vertices
+            for q in vertices
+            for value in calc.multiplication_constants(p, q).values()
+            if not value.is_zero
+        ]
+        assert len(constants) == nonzero
+        for value in constants:
+            sign = (-1) ** value.homogeneous_degree()
+            assert all(sign * c > 0 for c in to_root_basis(value).terms.values()), value
 
 
 class TestNearbyPaths:
