@@ -275,7 +275,8 @@ class Polarization:
 
     Built only by longest_path_morse, which checks every condition; the
     pairings, sigma, phi and the ascending and descending edges at each
-    vertex are read-only mappings."""
+    vertex are read-only mappings; vertices_by_level returns one tuple, sorted
+    once."""
 
     graph: GkmGraph
     xi: tuple[Fraction, ...]
@@ -285,6 +286,7 @@ class Polarization:
     self_indexing: bool
     _ascending: Mapping[str, tuple[int, ...]]
     _descending: Mapping[str, tuple[int, ...]]
+    _by_level: tuple[str, ...]
 
     def sign(self, eid: int) -> int:
         return 1 if self.ascending(eid) else -1
@@ -301,8 +303,8 @@ class Polarization:
     def level(self, vertex: str) -> Fraction:
         return self.phi[vertex]
 
-    def vertices_by_level(self) -> list[str]:
-        return sorted(self.graph.vertices, key=self.phi.__getitem__)
+    def vertices_by_level(self) -> tuple[str, ...]:
+        return self._by_level
 
     def minimum_vertices(self) -> list[str]:
         return [v for v in self.graph.vertices if self.sigma[v] == 0]
@@ -396,6 +398,7 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
         self_indexing,
         types.MappingProxyType(ascending),
         types.MappingProxyType(descending),
+        tuple(sorted(graph.vertices, key=lambda v: (longest[v], rank[v]))),
     )
 
 

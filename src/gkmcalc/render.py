@@ -51,8 +51,9 @@ def basis_renderer(graph: GkmGraph, basis: str):
     (the flag-variety convention), else coordinates.
     """
     if basis == "auto":
+        # a form sums to zero when its int numerators do
         sum_zero = all(
-            sum(edge.weight.coeffs, start=Fraction(0)) == 0 for edge in graph.edges
+            sum(edge.weight._num) == 0 for edge in graph.edges
         ) and graph.dimension >= 2 and bool(graph.edges)
         basis = "roots" if sum_zero else "x"
     if basis == "x":

@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -43,10 +44,20 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def rat(value: RationalLike) -> Fraction:
-    """Coerce an int, string "p/q" or Fraction to an exact rational."""
+    """Coerce an int, string "p" or "p/q" or Fraction to an exact rational.
+
+    Text is an optional sign, digits and an optional "/digits", as
+    format_rational writes it; anything else (exponents, decimals, spaces)
+    raises ValueError, so text cannot ask for an integer far larger than
+    itself, as "1e20000" would."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and not _RATIONAL_TEXT.fullmatch(value):
+        raise ValueError(f"{value!r} is not a rational p or p/q")
     return Fraction(value)
 
 
@@ -746,6 +757,23 @@ class RationalExpr:
     Instances are canonical: denominator factors are monic, sorted, and no
     factor divides the numerator (the polynomial ring is a UFD and linear
     forms are prime, so structural equality is mathematical equality).
+
+    Each operation trial-divides only by the factors that can cancel
+    (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1), which the invariant and
+    primality decide:
+
+    * `make` and `reduce` try every factor: their numerator is arbitrary.
+    * `*` never tries a factor of both operands, since it divides neither
+      numerator; a factor of one operand only is divided out of the other
+      operand's numerator, and the product is not trial-divided.
+    * `+` tries only the factors of equal multiplicity in both terms: over
+      the common denominator a factor of unequal multiplicity divides one
+      numerator but not the other, so not their sum.
+    * `div_form` tries only the new form, and not even that when it is
+      already a factor.
+    * `of_forms`, a quotient of two products of linear forms, divides
+      nothing: a linear form divides such a product only when it is
+      proportional to one of its factors, so equal monic forms cancel.
     """
 
     __slots__ = ("num", "den")
@@ -768,36 +796,56 @@ class RationalExpr:
                 continue
             if mult < 0:
                 raise ValueError("denominator multiplicities must be positive")
-            if form.is_zero:
-                raise ZeroDivisionError("zero linear form in denominator")
-            monic, s = form.normalized()
+            monic, s = _monic(form)
             collected[monic] = collected.get(monic, 0) + mult
             top *= s.numerator**mult
             bottom *= s.denominator**mult
         if num.is_zero:
             return RationalExpr(num, ())
         num = num * Fraction(bottom, top)
-        return RationalExpr._reduced(num, collected)
+        return RationalExpr._reduced(num, collected, list(collected))
 
     @staticmethod
-    def _reduced(num: Polynomial, collected: dict[LinearForm, int]) -> "RationalExpr":
+    def of_forms(top: Iterable[LinearForm], bottom: Iterable[LinearForm], dim: int) -> "RationalExpr":
+        """prod(top) / prod(bottom), cancelled by matching monic forms with no
+        trial division."""
+        collected: dict[LinearForm, int] = {}
+        up = down = 1  # the scalar the forms carry, up/down
+        for form in bottom:
+            monic, s = _monic(form)
+            collected[monic] = collected.get(monic, 0) + 1
+            up *= s.denominator
+            down *= s.numerator
+        kept = []
+        for form in top:
+            if form.is_zero:
+                return RationalExpr.zero(dim)
+            monic, s = form.normalized()
+            up *= s.numerator
+            down *= s.denominator
+            if collected.get(monic):
+                collected[monic] -= 1
+            else:
+                kept.append(monic)
+        num = Polynomial.product_of_forms(kept, dim) * Fraction(up, down)
+        return RationalExpr._reduced(num, collected, ())
+
+    @staticmethod
+    def _reduced(
+        num: Polynomial, collected: dict[LinearForm, int], trial: Iterable[LinearForm]
+    ) -> "RationalExpr":
+        """num / prod collected in canonical form, dividing num only by the
+        factors in `trial`; the caller vouches that no other factor of
+        `collected` divides num."""
         if num.is_zero:
             return RationalExpr(num, ())
-        for form in list(collected):
-            while collected[form] > 0:
-                quotient = num.divide_linear(form)
-                if quotient is None:
-                    break
-                num = quotient
-                collected[form] -= 1
-            if collected[form] == 0:
-                del collected[form]
+        for form in trial:
+            num, collected[form] = _divide_out(num, form, collected[form])
         # the monic-coefficient order, compared on numerators over one
         # common denominator
-        common = math.lcm(*(form._den for form in collected))
-        den = tuple(
-            sorted(collected.items(), key=lambda kv: [c * (common // kv[0]._den) for c in kv[0]._num])
-        )
+        kept = [(form, mult) for form, mult in collected.items() if mult]
+        common = math.lcm(*(form._den for form, _ in kept))
+        den = tuple(sorted(kept, key=lambda kv: [c * (common // kv[0]._den) for c in kv[0]._num]))
         return RationalExpr(num, den)
 
     @staticmethod
@@ -872,7 +920,8 @@ class RationalExpr:
             missing = mult - right_den.get(form, 0)
             if missing:
                 right_num = right_num * Polynomial.product_of_forms([form] * missing, self.dim)
-        return RationalExpr._reduced(left_num + right_num, common)
+        trial = [form for form, mult in left_den.items() if right_den.get(form) == mult]
+        return RationalExpr._reduced(left_num + right_num, common, trial)
 
     __radd__ = __add__
 
@@ -894,10 +943,20 @@ class RationalExpr:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        collected = self.den_dict()
-        for form, mult in rhs.den:
-            collected[form] = collected.get(form, 0) + mult
-        return RationalExpr._reduced(self.num * rhs.num, collected)
+        left_num, right_num = self.num, rhs.num
+        if left_num.is_zero or right_num.is_zero:
+            return RationalExpr(left_num * right_num, ())
+        left_den, right_den = self.den_dict(), rhs.den_dict()
+        collected = dict(left_den)
+        for form, mult in right_den.items():
+            if form in left_den:
+                collected[form] += mult
+            else:
+                left_num, collected[form] = _divide_out(left_num, form, mult)
+        for form, mult in left_den.items():
+            if form not in right_den:
+                right_num, collected[form] = _divide_out(right_num, form, mult)
+        return RationalExpr._reduced(left_num * right_num, collected, ())
 
     __rmul__ = __mul__
 
@@ -908,10 +967,11 @@ class RationalExpr:
         return RationalExpr(self.num * (1 / c), self.den)
 
     def div_form(self, form: LinearForm) -> "RationalExpr":
-        return RationalExpr.make(self.num, list(_expand_den(self.den)) + [form])
-
-    def div_forms(self, forms: Iterable[LinearForm]) -> "RationalExpr":
-        return RationalExpr.make(self.num, list(_expand_den(self.den)) + list(forms))
+        monic, s = _monic(form)
+        collected = self.den_dict()
+        trial = () if monic in collected else (monic,)
+        collected[monic] = collected.get(monic, 0) + 1
+        return RationalExpr._reduced(self.num * (1 / s), collected, trial)
 
     # -- comparison -----------------------------------------------------
 
@@ -933,7 +993,8 @@ class RationalExpr:
 
     def reduce(self) -> "RationalExpr":
         """Re-run trial division; idempotent because construction reduces."""
-        return RationalExpr._reduced(self.num, self.den_dict())
+        collected = self.den_dict()
+        return RationalExpr._reduced(self.num, collected, list(collected))
 
     def degree(self) -> Optional[int]:
         """Homogeneous degree (numerator degree minus denominator degree)."""
@@ -961,7 +1022,19 @@ class RationalExpr:
         return f"RationalExpr({self.render()})"
 
 
-def _expand_den(den: tuple[DenFactor, ...]):
-    for form, mult in den:
-        for _ in range(mult):
-            yield form
+def _monic(form: LinearForm) -> tuple[LinearForm, Fraction]:
+    """(monic form, scale) of a denominator factor."""
+    if form.is_zero:
+        raise ZeroDivisionError("zero linear form in denominator")
+    return form.normalized()
+
+
+def _divide_out(num: Polynomial, form: LinearForm, mult: int) -> tuple[Polynomial, int]:
+    """Divide num by form as often as it goes, at most mult times; returns
+    the quotient and the multiplicity left."""
+    while mult:
+        quotient = num.divide_linear(form)
+        if quotient is None:
+            break
+        num, mult = quotient, mult - 1
+    return num, mult

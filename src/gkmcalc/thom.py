@@ -213,14 +213,11 @@ class ThomCalculator:
         self, weight: LinearForm, numerator_edges: Iterable[int], denominator_edges: Iterable[int]
     ) -> RationalExpr:
         xi = self.pol.xi
-        dim = self.graph.dimension
-        numerator = Polynomial.product_of_forms(
-            (rho_form(self.graph.weight(e), weight, xi) for e in numerator_edges), dim
+        return RationalExpr.of_forms(
+            [rho_form(self.graph.weight(e), weight, xi) for e in numerator_edges],
+            [rho_form(self.graph.weight(e), weight, xi) for e in denominator_edges],
+            self.graph.dimension,
         )
-        denominator = [
-            rho_form(self.graph.weight(e), weight, xi) for e in denominator_edges
-        ]
-        return RationalExpr.make(numerator, denominator)
 
     def iota(self, eid: int) -> EdgeIntersection:
         """Local intersection number Theta_pq / alpha_e(xi)."""
@@ -258,8 +255,11 @@ class ThomCalculator:
         others = [
             graph.weight(e) for e in self.pol.descending_out(edge.target) if e != edge.reverse_id
         ]
-        numerator = Polynomial.product_of_forms(map(project, others), graph.dimension)
-        return RationalExpr.make(numerator, [rho_form(w, edge.weight, self.pol.xi) for w in others])
+        return RationalExpr.of_forms(
+            map(project, others),
+            [rho_form(w, edge.weight, self.pol.xi) for w in others],
+            graph.dimension,
+        )
 
     # -- path weights ------------------------------------------------------
 
@@ -296,7 +296,9 @@ class ThomCalculator:
     def _iota_close(self, eid: int) -> RationalExpr:
         cached = self._iota_closes.get(eid)
         if cached is None:
-            cached = RationalExpr.make(self.nu_plus(self.graph.edges[eid].target), [self._hat(eid)])
+            cached = RationalExpr.of_forms(
+                self.nu_factors(self.graph.edges[eid].target), [self._hat(eid)], self.graph.dimension
+            )
             self._iota_closes[eid] = cached
         return cached
 

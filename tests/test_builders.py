@@ -200,6 +200,10 @@ MALFORMED = {
     "xi": (("xi",), 5),
     "edges": (("edges",), 5),
     "weight entry": (("edges", 0, "weight", 0), None),
+    "xi exponent": (("xi",), ["1e20000", "1"]),
+    "xi decimal": (("xi",), ["0.5", "1"]),
+    "xi spaces": (("xi",), [" 1", "1"]),
+    "xi underscore": (("xi",), ["1_000", "1"]),
     "xi length": (("xi",), [1]),
     "dimension": (("dimension",), float("inf")),
     "duplicate vertices": (("vertices",), ["p1", "p1", "p2", "p3"]),

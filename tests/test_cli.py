@@ -374,7 +374,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "command,value",
-        [("betti", "abc"), ("table", "1/0,2,3")],
+        [("betti", "abc"), ("table", "1/0,2,3"), ("table", "1e20000,2,3")],
     )
     def test_malformed_xi(self, capsys, command, value):
         code, out, err = run(capsys, command, "--graph", "permutahedron:3", "--xi", value)
@@ -430,6 +430,18 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("[FAIL] OverflowError: ") and len(err.strip().splitlines()) == 1
+
+    def test_graph_file_rational_in_exponent_notation(self, capsys, tmp_path, data_dir):
+        # only "p" and "p/q" are rationals in text: "1e20000" would otherwise
+        # be a 66,439-bit integer
+        document = json.loads((data_dir / "square_diagonal.graph").read_text())
+        document["xi"][0] = "1e20000"
+        path = tmp_path / "big.graph"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "table", "--graph", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("[FAIL] FormatError: ") and len(err.strip().splitlines()) == 1
 
     def test_missing_class_file(self, capsys, tmp_path):
         code, out, err = run(

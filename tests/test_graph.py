@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.builders import complete_graph, permutahedron
+from gkmcalc.builders import build_graph, complete_graph, permutahedron
 from gkmcalc.errors import PolarizationError
 from gkmcalc.graph import (
     GkmGraph,
@@ -211,6 +211,14 @@ class TestMorse:
             with pytest.raises(TypeError):
                 mapping[key] = 99
         assert pol.level("123") == level
+
+    @pytest.mark.parametrize("spec", ["permutahedron:4", "complete:5"])
+    def test_vertices_by_level_sorts_by_phi(self, spec):
+        pol = polarize(build_graph(spec))
+        order = pol.vertices_by_level()
+        assert isinstance(order, tuple)
+        assert order is pol.vertices_by_level()
+        assert list(order) == sorted(pol.graph.vertices, key=pol.phi.__getitem__)
 
     def test_flag_variety_self_indexing(self):
         graph = permutahedron(3)

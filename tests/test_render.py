@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmcalc.builders import permutahedron
+from gkmcalc.builders import build_graph, load_graph, permutahedron
 from gkmcalc.errors import FormatError
 from gkmcalc.render import (
     basis_renderer,
@@ -85,6 +85,17 @@ class TestRootBasis:
         assert names == ("a1", "a2")
         a1 = LinearForm.make([-1, 1, 0]).as_polynomial()
         assert convert(a1).render(names) == "a1"
+
+    def test_auto_basis_on_complete_graph_and_square(self, data_dir):
+        # the weights x_i - x_j of K_5 sum to zero, those of the square with
+        # a diagonal (-x2, -x1, -2*x1 - 2*x2, ...) do not
+        names, _ = basis_renderer(build_graph("complete:5"), "auto")
+        assert names == ("a1", "a2", "a3", "a4")
+        graph = load_graph(data_dir / "square_diagonal.graph")
+        names, convert = basis_renderer(graph, "auto")
+        assert names is None
+        poly = Polynomial.variable(0, graph.dimension)
+        assert convert(poly) is poly
 
     def test_bad_basis_rejected(self):
         with pytest.raises(FormatError):

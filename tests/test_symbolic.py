@@ -375,6 +375,111 @@ class TestPackedKernel:
             high.substitute([X2, X2])
 
 
+# -- RationalExpr against a plain full-trial-division reference
+
+
+def ref_monic(coeffs):
+    lead = next(Fraction(c) for c in coeffs if c != 0)
+    return tuple(Fraction(c) / lead for c in coeffs), lead
+
+
+def ref_times_forms(terms, forms):
+    for coeffs in forms:
+        terms = ref_mul(terms, ref_form(coeffs))
+    return terms
+
+
+def ref_reduce(terms, forms):
+    """terms / prod(forms) as (numerator terms, ((monic coefficients,
+    multiplicity), ...)): every factor is tried as often as it divides, and
+    the factors are sorted by their coefficients."""
+    multiplicity = {}
+    scale = Fraction(1)
+    for coeffs in forms:
+        monic, lead = ref_monic(coeffs)
+        multiplicity[monic] = multiplicity.get(monic, 0) + 1
+        scale /= lead
+    terms = {e: c * scale for e, c in terms.items()}
+    if not terms:
+        return {}, ()
+    for monic in multiplicity:
+        while multiplicity[monic]:
+            quotient = ref_divide(terms, monic)
+            if quotient is None:
+                break
+            terms = quotient
+            multiplicity[monic] -= 1
+    return terms, tuple(sorted((m, k) for m, k in multiplicity.items() if k))
+
+
+def ref_expand(den):
+    return [monic for monic, k in den for _ in range(k)]
+
+
+def as_expr(reference):
+    terms, den = reference
+    return RationalExpr(Polynomial(3, terms), tuple((LinearForm(m), k) for m, k in den))
+
+
+def as_reference(expr):
+    return dict(expr.num.terms), tuple((form.coeffs, k) for form, k in expr.den)
+
+
+@st.composite
+def rational_expr_cases(draw):
+    # every factor is a multiple of one of a few forms in 3 variables, so
+    # factors repeat and proportional factors meet
+    base = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+    pool = draw(st.lists(base, min_size=1, max_size=3))
+    factor = st.tuples(st.sampled_from(pool), st.sampled_from([1, -1, 2, Fraction(-1, 2), 3])).map(
+        lambda pair: [Fraction(c) * pair[1] for c in pair[0]]
+    )
+    exponent = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
+    cofactor = st.dictionaries(exponent, st.integers(-3, 3), max_size=3).map(
+        lambda d: {e: Fraction(c) for e, c in d.items() if c}
+    )
+    factors = st.lists(factor, max_size=3)
+
+    def expr():
+        # numerators with factors of the pool, so that factors cancel
+        terms = ref_times_forms(draw(cofactor), draw(st.lists(factor, max_size=2)))
+        return ref_reduce(terms, draw(factors))
+
+    return expr(), expr(), draw(factor), draw(factors), draw(factors)
+
+
+class TestRationalExprReduction:
+    @given(rational_expr_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_full_trial_division(self, case):
+        a, b, form, top, bottom = case
+        (a_terms, a_den), (b_terms, b_den) = a, b
+        x, y = as_expr(a), as_expr(b)
+        a_forms, b_forms = ref_expand(a_den), ref_expand(b_den)
+        left, right = ref_times_forms(a_terms, b_forms), ref_times_forms(b_terms, a_forms)
+        top_terms = ref_times_forms({(0, 0, 0): Fraction(1)}, top)
+        lift = [LinearForm(coeffs) for coeffs in bottom]
+        for got, want in [
+            (x + y, ref_reduce(ref_add(left, right), a_forms + b_forms)),
+            (x - y, ref_reduce(ref_add(left, right, -1), a_forms + b_forms)),
+            ((x + y) - y, a),  # the factors of y alone cancel in the second sum
+            (x * y, ref_reduce(ref_mul(a_terms, b_terms), a_forms + b_forms)),
+            (x.div_form(LinearForm(form)), ref_reduce(a_terms, a_forms + [form])),
+            (
+                RationalExpr.of_forms([LinearForm(coeffs) for coeffs in top], lift, 3),
+                ref_reduce(top_terms, bottom),
+            ),
+            (RationalExpr.make(Polynomial(3, top_terms), lift), ref_reduce(top_terms, bottom)),
+        ]:
+            assert as_reference(got) == want
+
+    def test_of_forms_with_a_zero_form(self):
+        zero = LinearForm.zero(2)
+        assert RationalExpr.of_forms([X1, zero], [X2], 2).is_zero
+        with pytest.raises(ZeroDivisionError):
+            RationalExpr.of_forms([X1], [X2, zero], 2)
+
+
 # -- linear forms against a plain Fraction-tuple reference
 
 

@@ -36,6 +36,11 @@ def brute_force_paths(graph, pol, start, end):
     return sorted(found)
 
 
+def over(expr, forms):
+    """expr divided by the product of forms."""
+    return RationalExpr.make(expr.num, list(expr.den) + list(forms))
+
+
 class TestAscendingPaths:
     def test_flag_variety_two_paths(self, flag3_calc):
         graph = flag3_calc.graph
@@ -223,13 +228,10 @@ class TestPathWeight:
 
                 glue_num = graph.weight(first[-1])
                 glue_den = rho_form(glue_num, graph.weight(second[0]), pol.xi)
-                left = k5_calc.path_weight(path).div_forms(
-                    [w for w in k5_calc.nu_factors("p1")]
-                )
+                left = over(k5_calc.path_weight(path), k5_calc.nu_factors("p1"))
                 right = (
-                    k5_calc.path_weight(first)
-                    .div_forms(k5_calc.nu_factors("p1"))
-                    * k5_calc.path_weight(second).div_forms(k5_calc.nu_factors(middle))
+                    over(k5_calc.path_weight(first), k5_calc.nu_factors("p1"))
+                    * over(k5_calc.path_weight(second), k5_calc.nu_factors(middle))
                     * RationalExpr.make(glue_num.as_polynomial(), [glue_den])
                 )
                 assert left.equals(right)
@@ -249,10 +251,10 @@ class TestPathWeight:
             first, last = path[0], path[-1]
             ahat_1 = graph.weight(first).scale(1 / pol.pairings[first])
             ahat_m = graph.weight(last).scale(1 / pol.pairings[last])
-            factor = (
-                RationalExpr.make(rev.nu_plus(p) * ahat_m.as_polynomial(), [ahat_1])
-                * Fraction(-1)
-            ).div_forms([w for w in flag3_calc.nu_factors(q)])
+            factor = over(
+                RationalExpr.make(rev.nu_plus(p) * ahat_m.as_polynomial(), [ahat_1]) * Fraction(-1),
+                flag3_calc.nu_factors(q),
+            )
             assert rev.path_weight(reversed_path).equals(
                 factor * flag3_calc.path_weight(path)
             )
