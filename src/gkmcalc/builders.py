@@ -22,11 +22,10 @@ from .symbolic import LinearForm, RationalLike, format_rational, rat_vector
 
 
 def complete_graph_on_points(
-    points: Sequence[LinearForm],
-    names: Optional[Sequence[str]] = None,
-    default_xi: Optional[Sequence[RationalLike]] = None,
+    points: Sequence[LinearForm], default_xi: Optional[Sequence[RationalLike]] = None
 ) -> GkmGraph:
-    """Complete graph with weight points[i] - points[j] on the edge i -> j.
+    """Complete graph on vertices p1, ..., pn with weight points[i] - points[j]
+    on the edge pi -> pj.
 
     The connection along p_i -> p_j sends p_i -> p_k to p_j -> p_k and the
     edge itself to its reversal; compatibility holds with constant -1.
@@ -35,8 +34,7 @@ def complete_graph_on_points(
     if n < 1:
         raise GraphError("need at least one point")
     dim = points[0].dim
-    if names is None:
-        names = [f"p{i + 1}" for i in range(n)]
+    names = [f"p{i + 1}" for i in range(n)]
     undirected = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -190,8 +188,9 @@ def _parse_vector(raw, dim: int, where: str) -> tuple[Fraction, ...]:
         raise FormatError(f"{where}: bad rational ({exc})") from exc
 
 
-def graph_from_document(document: dict, validate_result: bool = True) -> GkmGraph:
-    """Build a graph from its JSON document; FormatError on a malformed one.
+def graph_from_document(document: dict) -> GkmGraph:
+    """Build and validate a graph from its JSON document; FormatError on a
+    malformed or invalid one.
 
     A connection that is left out is derived (derive_connection), which
     raises GraphError when it is not unique."""
@@ -249,10 +248,9 @@ def graph_from_document(document: dict, validate_result: bool = True) -> GkmGrap
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 
-    if validate_result:
-        axial = validate_axial(graph)
-        if not axial.ok:
-            raise FormatError("graph fails validation:\n" + str(axial))
+    axial = validate_axial(graph)
+    if not axial.ok:
+        raise FormatError("graph fails validation:\n" + str(axial))
 
     if raw_connection:
         connection = {}
@@ -272,10 +270,9 @@ def graph_from_document(document: dict, validate_result: bool = True) -> GkmGrap
     else:
         graph.connection.update(derive_connection(graph))
 
-    if validate_result:
-        report = validate(graph)
-        if not report.ok:
-            raise FormatError("graph fails validation:\n" + str(report))
+    report = validate(graph)
+    if not report.ok:
+        raise FormatError("graph fails validation:\n" + str(report))
     return graph
 
 
@@ -368,7 +365,7 @@ def _count_perfect_matchings(
     return found
 
 
-def load_graph(path: Union[str, Path], validate_result: bool = True) -> GkmGraph:
+def load_graph(path: Union[str, Path]) -> GkmGraph:
     text = Path(path).read_text()
     try:
         document = json.loads(text)
@@ -376,7 +373,7 @@ def load_graph(path: Union[str, Path], validate_result: bool = True) -> GkmGraph
         raise FormatError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(document, dict):
         raise FormatError(f"{path}: top-level value must be an object")
-    return graph_from_document(document, validate_result=validate_result)
+    return graph_from_document(document)
 
 
 def build_graph(spec: str) -> GkmGraph:

@@ -15,6 +15,7 @@ unreadable or malformed class file).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -285,7 +286,10 @@ def cmd_demo(args) -> int:
     return 0 if ok else FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: every parse
+    returns a fresh namespace, so no state passes between commands."""
     parser = argparse.ArgumentParser(
         prog="gkmcalc",
         description="Exact equivariant cohomology of GKM graphs.",
@@ -363,8 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         status = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit

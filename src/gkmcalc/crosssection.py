@@ -185,7 +185,7 @@ def _transfer(
 
 
 def _transfer_by_paths(
-    polarization: Polarization, source: CrossSection, target: CrossSection
+    calc: ThomCalculator, source: CrossSection, target: CrossSection
 ) -> dict[tuple[int, int], RationalExpr]:
     """Entries as ascending-path sums T(v, w) = sum_gamma Q(gamma).
 
@@ -193,8 +193,7 @@ def _transfer_by_paths(
     between the two levels, and end with an edge crossing the upper level;
     Q(gamma) multiplies the transfer weights of consecutive edge pairs.
     """
-    graph = polarization.graph
-    calc = ThomCalculator(polarization)
+    polarization, graph = calc.pol, calc.graph
     high = target.level
     dim = graph.dimension
     entries: dict[tuple[int, int], RationalExpr] = {}
@@ -224,21 +223,21 @@ def compose_transfer(
     must agree exactly.
     """
     low, high, crossed = _sweep(polarization, c, c_prime)
-    matrix = _transfer(ThomCalculator(polarization), low, high, crossed)
-    _check_against_paths(polarization, matrix)
+    calc = ThomCalculator(polarization)
+    matrix = _transfer(calc, low, high, crossed)
+    _check_against_paths(calc, matrix)
     return matrix
 
 
-def _check_against_paths(polarization: Polarization, matrix: TransferMatrix) -> None:
-    expected = _transfer_by_paths(polarization, matrix.source, matrix.target)
+def _check_against_paths(calc: ThomCalculator, matrix: TransferMatrix) -> None:
+    expected = _transfer_by_paths(calc, matrix.source, matrix.target)
     keys = set(expected) | set(matrix.entries)
-    graph = polarization.graph
-    dim = graph.dimension
-    zero = RationalExpr.zero(dim)
+    graph = calc.graph
+    zero = RationalExpr.zero(graph.dimension)
     for key in keys:
         left = matrix.entries.get(key, zero)
         right = expected.get(key, zero)
-        if left != right and not left.equals(right):
+        if left != right:
             v, w = key
             raise InternalConsistencyError(
                 f"transfer entry ({graph.edges[v].key()}, {graph.edges[w].key()}) "

@@ -447,16 +447,15 @@ def check_generic(graph: GkmGraph, xi: Sequence[RationalLike], vertex: str) -> b
     return True
 
 
-def search_polarization(
-    graph: GkmGraph, max_norm: int = 16, require_generic: bool = True
-) -> tuple[Fraction, ...]:
+def search_polarization(graph: GkmGraph) -> tuple[Fraction, ...]:
     """Deterministic search for a polarizing vector with small integer entries.
 
-    Enumerates integer vectors by increasing max-norm (lexicographic within a
-    shell) and returns the first one that longest_path_morse accepts and,
-    when requested, that passes the genericity check at every vertex.
+    Enumerates integer vectors by increasing max-norm, up to 16
+    (lexicographic within a shell), and returns the first one that
+    longest_path_morse accepts and that passes the genericity check at
+    every vertex.
     """
-    n = graph.dimension
+    n, max_norm = graph.dimension, 16
     for norm in range(1, max_norm + 1):
         for candidate in itertools.product(range(-norm, norm + 1), repeat=n):
             if max(abs(c) for c in candidate) != norm:
@@ -466,9 +465,7 @@ def search_polarization(
                 longest_path_morse(graph, vector)
             except PolarizationError:
                 continue
-            if require_generic and not all(
-                check_generic(graph, vector, v) for v in graph.vertices
-            ):
+            if not all(check_generic(graph, vector, v) for v in graph.vertices):
                 continue
             return vector
     raise PolarizationError(

@@ -4,10 +4,11 @@ Each route has one job.  Classes come from one engine, thom_class_inductive
 (Newton interpolation over descending edges, exact division only); tau^-,
 pairings, the Thom basis and expansions in it all use it.  Its step, the
 flip-flop at one vertex, is _flip_flop, which cross-section transport shares.
-The path sums of thom_class_paths are its independent verifier.  Structure
-constants c_pq^r are the localization integral of the path classes
-tau_p^+ tau_q^+ tau_r^-, checked against the same integral of the engine's
-classes.
+The path sums of thom_class_paths are its independent verifier: each path
+class is checked against the engine's class of the same base.  Structure
+constants c_pq^r are the localization integral of the checked path classes
+tau_p^+ tau_q^+ tau_r^-.  A calculator memoizes its values per instance
+(_memoized).
 
 For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
@@ -31,8 +32,9 @@ them, by one sweep (path_counts).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     GraphError,
@@ -65,53 +67,56 @@ class EdgeIntersection:
     is_global: bool
 
 
+def _memoized(method):
+    """Memoize a method in its instance's one dict, _memo, keyed by method
+    name and argument tuple.  The values live on the instance, not the
+    class, and hold no link back to it, so a calculator and its values are
+    freed as soon as the last reference to it goes.  A call that raises
+    stores nothing."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, *args):
+        key = (name, args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        value = self._memo[key] = method(self, *args)
+        return value
+
+    return memoized
+
+
 class ThomCalculator:
-    """All path-sum computations for one polarized graph, with caching."""
+    """All path-sum computations for one polarized graph, memoized."""
 
     def __init__(self, polarization: Polarization):
         self.pol = polarization
         self.graph = polarization.graph
-        self._nu: dict[str, Polynomial] = {}
-        self._nu_factors: dict[str, tuple[LinearForm, ...]] = {}
-        self._paths: dict[str, dict[str, list[Path]]] = {}
-        self._path_counts: dict[str, dict[str, tuple[int, int]]] = {}
-        self._theta: dict[int, RationalExpr] = {}
-        self._q_edge: dict[int, RationalExpr] = {}
-        self._q_pair: dict[tuple[int, int], RationalExpr] = {}
-        self._minus_iotas: dict[int, RationalExpr] = {}
-        self._iota_steps: dict[tuple[int, int], RationalExpr] = {}
-        self._iota_closes: dict[int, RationalExpr] = {}
-        self._classes: dict[str, "CohomologyClass"] = {}
-        self._path_classes: dict[str, "CohomologyClass"] = {}
-        self._reversed: Optional["ThomCalculator"] = None
+        self._memo: dict[tuple[str, tuple], object] = {}
 
     # -- basic data ------------------------------------------------------
 
+    @_memoized
     def nu_factors(self, vertex: str) -> tuple[LinearForm, ...]:
         """Weights of the descending edges at a vertex."""
-        cached = self._nu_factors.get(vertex)
-        if cached is None:
-            cached = tuple(self.graph.weight(e) for e in self.pol.descending_out(vertex))
-            self._nu_factors[vertex] = cached
-        return cached
+        return tuple(self.graph.weight(e) for e in self.pol.descending_out(vertex))
 
+    @_memoized
     def nu_plus(self, vertex: str) -> Polynomial:
         """Leading value: the product of the descending weights."""
-        cached = self._nu.get(vertex)
-        if cached is None:
-            cached = Polynomial.product_of_forms(self.nu_factors(vertex), self.graph.dimension)
-            self._nu[vertex] = cached
-        return cached
+        return Polynomial.product_of_forms(self.nu_factors(vertex), self.graph.dimension)
 
+    @_memoized
     def reversed_calculator(self) -> "ThomCalculator":
-        if self._reversed is None:
-            # no link back: without reference cycles a calculator and its
-            # caches are freed as soon as the last reference goes
-            self._reversed = ThomCalculator(self.pol.reversed())
-        return self._reversed
+        # no link back: without reference cycles a calculator and its
+        # memo are freed as soon as the last reference goes
+        return ThomCalculator(self.pol.reversed())
 
     # -- ascending paths ---------------------------------------------------
 
+    @_memoized
     def paths_from(self, start: str) -> dict[str, list[Path]]:
         """All ascending paths out of a vertex, grouped by endpoint.
 
@@ -119,9 +124,6 @@ class ThomCalculator:
         (a DAG, so paths never revisit a vertex) with an explicit stack, in
         preorder; the empty path at the start vertex is included.
         """
-        cached = self._paths.get(start)
-        if cached is not None:
-            return cached
         result: dict[str, list[Path]] = {}
         stack: list[tuple[str, Path]] = [(start, ())]
         while stack:
@@ -130,12 +132,12 @@ class ThomCalculator:
             # pushed in reverse so that edges are explored in their order
             for eid in reversed(self.pol.ascending_out(vertex)):
                 stack.append((self.graph.edges[eid].target, path + (eid,)))
-        self._paths[start] = result
         return result
 
     def ascending_paths(self, p: str, q: str) -> list[Path]:
         return self.paths_from(p).get(q, [])
 
+    @_memoized
     def path_counts(self, start: str) -> dict[str, tuple[int, int]]:
         """(number of ascending paths, length of the longest) from a vertex to
         each vertex it reaches, itself included as (1, 0).
@@ -144,9 +146,6 @@ class ThomCalculator:
         longest lengths at the lower ends of its descending edges, so no
         path is enumerated.
         """
-        cached = self._path_counts.get(start)
-        if cached is not None:
-            return cached
         edges, pol = self.graph.edges, self.pol
         counts = {start: (1, 0)}
         for vertex in pol.vertices_by_level():
@@ -155,7 +154,6 @@ class ThomCalculator:
             ]
             if arriving:
                 counts[vertex] = (sum(n for n, _ in arriving), 1 + max(m for _, m in arriving))
-        self._path_counts[start] = counts
         return counts
 
     def has_unique_path(self, eid: int) -> bool:
@@ -165,6 +163,7 @@ class ThomCalculator:
 
     # -- intersection numbers ----------------------------------------------
 
+    @_memoized
     def theta(self, eid: int) -> RationalExpr:
         """The edge ratio Theta_pq in connection-cancelled form.
 
@@ -174,28 +173,22 @@ class ThomCalculator:
         at p, Theta = rho_e(prod E_pq) / rho_e(prod E_qp).  Orientation
         reversal leaves it unchanged.
         """
-        cached = self._theta.get(eid)
-        if cached is not None:
-            return cached
         if not self.pol.ascending(eid):
-            value = self.theta(self.graph.reverse(eid))
-        else:
-            graph, pol = self.graph, self.pol
-            edge = graph.edges[eid]
-            rev = edge.reverse_id
-            p_desc = set(pol.descending_out(edge.source))
-            q_desc = set(pol.descending_out(edge.target))
-            numerator_edges = [
-                e for e in p_desc if graph.theta(eid, e) not in q_desc
-            ]
-            denominator_edges = [
-                e
-                for e in q_desc
-                if e != rev and graph.theta(rev, e) not in p_desc
-            ]
-            value = self._rho_ratio(edge.weight, numerator_edges, denominator_edges)
-        self._theta[eid] = value
-        return value
+            return self.theta(self.graph.reverse(eid))
+        graph, pol = self.graph, self.pol
+        edge = graph.edges[eid]
+        rev = edge.reverse_id
+        p_desc = set(pol.descending_out(edge.source))
+        q_desc = set(pol.descending_out(edge.target))
+        numerator_edges = [
+            e for e in p_desc if graph.theta(eid, e) not in q_desc
+        ]
+        denominator_edges = [
+            e
+            for e in q_desc
+            if e != rev and graph.theta(rev, e) not in p_desc
+        ]
+        return self._rho_ratio(edge.weight, numerator_edges, denominator_edges)
 
     def theta_uncancelled(self, eid: int) -> RationalExpr:
         """The raw quotient over all descending edges, before cancellation."""
@@ -226,26 +219,20 @@ class ThomCalculator:
 
     # -- transfer weights -----------------------------------------------------
 
+    @_memoized
     def q_edge(self, eid: int) -> RationalExpr:
         """Q(e): product of the other descending weights at the head of e,
         over its own projection along e."""
-        cached = self._q_edge.get(eid)
-        if cached is None:
-            cached = self._q_edge[eid] = self._over_projections(eid, lambda w: w)
-        return cached
+        return self._over_projections(eid, lambda w: w)
 
+    @_memoized
     def q_pair(self, first: int, second: int) -> RationalExpr:
         """Q(e, e') for consecutive ascending edges meeting at a vertex."""
-        key = (first, second)
-        cached = self._q_pair.get(key)
-        if cached is None:
-            graph = self.graph
-            if graph.edges[second].source != graph.edges[first].target:
-                raise GraphError("edges are not consecutive")
-            weight = graph.weight(second)
-            cached = self._over_projections(first, lambda w: rho_form(w, weight, self.pol.xi))
-            self._q_pair[key] = cached
-        return cached
+        graph = self.graph
+        if graph.edges[second].source != graph.edges[first].target:
+            raise GraphError("edges are not consecutive")
+        weight = graph.weight(second)
+        return self._over_projections(first, lambda w: rho_form(w, weight, self.pol.xi))
 
     def _over_projections(self, eid: int, project) -> RationalExpr:
         """prod project(w) / prod rho_e(w) over the descending weights w at
@@ -277,30 +264,20 @@ class ThomCalculator:
     def _hat(self, eid: int) -> LinearForm:
         return self.graph.weight(eid).scale(1 / self.pol.pairings[eid])
 
+    @_memoized
     def _minus_iota(self, eid: int) -> RationalExpr:
         """-iota_e read from theta and the pairing, without iota's path count."""
-        cached = self._minus_iotas.get(eid)
-        if cached is None:
-            cached = -self.theta(eid).div_scalar(self.pol.pairings[eid])
-            self._minus_iotas[eid] = cached
-        return cached
+        return -self.theta(eid).div_scalar(self.pol.pairings[eid])
 
+    @_memoized
     def _iota_step(self, first: int, second: int) -> RationalExpr:
-        key = (first, second)
-        cached = self._iota_steps.get(key)
-        if cached is None:
-            cached = self._minus_iota(second).div_form(self._hat(first) - self._hat(second))
-            self._iota_steps[key] = cached
-        return cached
+        return self._minus_iota(second).div_form(self._hat(first) - self._hat(second))
 
+    @_memoized
     def _iota_close(self, eid: int) -> RationalExpr:
-        cached = self._iota_closes.get(eid)
-        if cached is None:
-            cached = RationalExpr.of_forms(
-                self.nu_factors(self.graph.edges[eid].target), [self._hat(eid)], self.graph.dimension
-            )
-            self._iota_closes[eid] = cached
-        return cached
+        return RationalExpr.of_forms(
+            self.nu_factors(self.graph.edges[eid].target), [self._hat(eid)], self.graph.dimension
+        )
 
     def _rho_seed(self, eid: int) -> RationalExpr:
         edge = self.graph.edges[eid]
@@ -329,7 +306,7 @@ class ThomCalculator:
                 total = total * step(previous, current)
             weights.append(total * close(path[-1]))
         by_intersections, by_transfer = weights
-        if by_intersections != by_transfer and not by_intersections.equals(by_transfer):
+        if by_intersections != by_transfer:
             raise InternalConsistencyError(
                 f"path weight routes disagree on {[self.graph.edges[e].key() for e in path]}: "
                 f"{by_intersections} vs {by_transfer}"
@@ -352,6 +329,7 @@ class ThomCalculator:
 
     # -- Thom classes ----------------------------------------------------------
 
+    @_memoized
     def thom_class_paths(self, base: str) -> "CohomologyClass":
         """Thom class by the path-sum formula, with checked postconditions;
         the verifier of thom_class_inductive.
@@ -359,13 +337,11 @@ class ThomCalculator:
         The sums are carried from the base once along each route and must
         agree exactly at every vertex, reduce to a polynomial and be
         homogeneous of degree sigma_base.  No ascending path returns to the
-        base, whose value is nu_base by construction.
+        base, whose value is nu_base by construction.  The class must then
+        equal thom_class_inductive(base) at every vertex.
         """
         from .cohomology import CohomologyClass
 
-        cached = self._path_classes.get(base)
-        if cached is not None:
-            return cached
         graph, pol = self.graph, self.pol
         sigma = pol.sigma[base]
         above = [v for v in pol.vertices_by_level() if pol.level(v) > pol.level(base)]
@@ -377,7 +353,7 @@ class ThomCalculator:
         values[base] = self.nu_plus(base)
         for vertex in above:
             total, other = by_intersections[vertex], by_transfer[vertex]
-            if total != other and not total.equals(other):
+            if total != other:
                 raise InternalConsistencyError(
                     f"path sum routes disagree for the Thom class of {graph.label(base)} "
                     f"at {graph.label(vertex)}: {total.render()} vs {other.render()}"
@@ -393,10 +369,16 @@ class ThomCalculator:
                     f"value at {graph.label(vertex)} is not homogeneous of degree {sigma}"
                 )
             values[vertex] = value
-        result = CohomologyClass(graph, values, degree=sigma)
-        self._path_classes[base] = result
-        return result
+        engine = self.thom_class_inductive(base).values
+        for vertex in pol.vertices_by_level():
+            if values[vertex] != engine[vertex]:
+                raise InternalConsistencyError(
+                    f"path-sum and engine Thom classes of {graph.label(base)} differ at "
+                    f"{graph.label(vertex)}: {values[vertex].render()} vs {engine[vertex].render()}"
+                )
+        return CohomologyClass(graph, values, degree=sigma)
 
+    @_memoized
     def thom_class_inductive(self, base: str) -> "CohomologyClass":
         """Thom class by Newton interpolation over descending edges, lowest
         level first; vertices not reachable from the base get zero.
@@ -406,9 +388,6 @@ class ThomCalculator:
         """
         from .cohomology import CohomologyClass, cocycle_witness
 
-        cached = self._classes.get(base)
-        if cached is not None:
-            return cached
         graph, pol = self.graph, self.pol
         zero = Polynomial.zero(graph.dimension)
         values = {v: zero for v in graph.vertices}
@@ -431,9 +410,7 @@ class ThomCalculator:
             raise InternalConsistencyError(
                 f"Thom class of {graph.label(base)} is not a cocycle: {witness}"
             )
-        result = CohomologyClass(graph, values, degree=pol.sigma[base])
-        self._classes[base] = result
-        return result
+        return CohomologyClass(graph, values, degree=pol.sigma[base])
 
     def thom_class_minus(self, base: str) -> "CohomologyClass":
         """Descending Thom class: the ascending class for the reversed polarization."""
@@ -450,22 +427,14 @@ class ThomCalculator:
 
     def structure_constant(self, p: str, q: str, r: str) -> Polynomial:
         """c_pqr as the localization integral of tau_p^+ tau_q^+ tau_r^- built
-        from the path-sum classes, checked against the same integral of the
-        interpolation engine's classes."""
+        from the path-sum classes, each of which thom_class_paths checks
+        against the interpolation engine's class."""
         from .cohomology import integrate
 
         rev = self.reversed_calculator()
-        value = integrate(
+        return integrate(
             self.thom_class_paths(p) * self.thom_class_paths(q) * rev.thom_class_paths(r)
         )
-        direct = integrate(
-            self.thom_class_inductive(p) * self.thom_class_inductive(q) * self.thom_class_minus(r)
-        )
-        if value != direct:
-            raise InternalConsistencyError(
-                f"path-sum and engine integrals disagree for ({p},{q},{r})"
-            )
-        return value
 
     def expand_in_thom_basis(self, f: "CohomologyClass") -> dict[str, Polynomial]:
         """Coefficients c_r with f = sum c_r tau_r^+, by triangular peeling.
@@ -631,4 +600,4 @@ def nearby_path_identity(calc: ThomCalculator, config: TriangleConfiguration) ->
         calc.nu_plus(config.q),
         [graph.weight(config.diagonal), graph.weight(config.upper)],
     )
-    return left == right or left.equals(right)
+    return left == right

@@ -101,6 +101,22 @@ class TestThomCommand:
         assert code == 0
         assert all(line.endswith(": 1") for line in out.strip().splitlines())
 
+    def test_one_parser_per_process(self):
+        from gkmcalc.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_no_parsed_state_between_commands(self, capsys, data_dir):
+        # the shared parser must not carry --minus over to the next command
+        argv = ["thom", "--graph", "permutahedron:3", "--vertex", "(12)", "--format", "structured"]
+        code, out, _ = run(capsys, *argv, "--minus")
+        assert code == 0 and json.loads(out)["minus"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        document = json.loads(out)
+        assert not document["minus"]
+        assert document["values"] == json.loads((data_dir / "flag3_tau12.json").read_text())
+
     def test_minus_honours_algorithm(self, capsys, monkeypatch):
         from gkmcalc.thom import ThomCalculator
 

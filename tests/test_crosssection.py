@@ -209,7 +209,7 @@ class TestComposeTransfer:
         levels = chamber_levels(pol)
         matrix = compose_transfer(pol, levels[1], levels[-2])
         assert all(not value.is_zero for value in matrix.entries.values())
-        expected = _transfer_by_paths(pol, matrix.source, matrix.target)
+        expected = _transfer_by_paths(ThomCalculator(pol), matrix.source, matrix.target)
         assert set(matrix.entries) == {key for key, value in expected.items() if not value.is_zero}
 
     def test_rejects_sweep_through_minimum(self, flag3_pol):
@@ -228,7 +228,7 @@ class TestComposeTransfer:
         key = next(iter(matrix.entries))
         matrix.entries[key] = matrix.entries[key] + 1
         with pytest.raises(InternalConsistencyError):
-            _check_against_paths(flag3_pol, matrix)
+            _check_against_paths(ThomCalculator(flag3_pol), matrix)
 
 
 class TestTransport:

@@ -472,6 +472,13 @@ class TestRationalExprReduction:
             (RationalExpr.make(Polynomial(3, top_terms), lift), ref_reduce(top_terms, bottom)),
         ]:
             assert as_reference(got) == want
+        # canonical: the same value by another order of operations is the
+        # same structure, so == needs no cross-multiplication
+        z = x.div_form(LinearForm(form))
+        assert y + x == x + y
+        assert y * x == x * y
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
 
     def test_of_forms_with_a_zero_form(self):
         zero = LinearForm.zero(2)

@@ -273,10 +273,10 @@ class TestPathWeight:
         with pytest.raises(ValueError):
             flag3_calc.path_weight(())
 
-    def test_route_disagreement_trap_fires(self):
-        # corrupt one cached transfer weight: the two evaluation routes then
-        # disagree and the cross-validation must raise rather than return
-        # a wrong value
+    def test_route_disagreement_trap_fires(self, monkeypatch):
+        # corrupt one transfer weight of this calculator: the two evaluation
+        # routes then disagree and the cross-validation must raise rather
+        # than return a wrong value
         from gkmcalc.errors import InternalConsistencyError
 
         graph = permutahedron(3)
@@ -284,8 +284,10 @@ class TestPathWeight:
         p = graph.vertex_by_label("(12)")
         q = graph.vertex_by_label("(13)")
         path = calc.ascending_paths(p, q)[0]
-        calc.q_edge(path[-1])  # populate the cache
-        calc._q_edge[path[-1]] = calc._q_edge[path[-1]] * 2
+        original = calc.q_edge
+        monkeypatch.setattr(
+            calc, "q_edge", lambda eid: original(eid) * 2 if eid == path[-1] else original(eid)
+        )
         with pytest.raises(InternalConsistencyError):
             calc.path_weight(path)
 
@@ -370,6 +372,45 @@ class TestThomClassPaths:
         calc = ThomCalculator(polarize(graph))
         with pytest.raises(InternalConsistencyError, match=r"Thom class of \(12\) at"):
             calc.thom_class_paths(graph.vertex_by_label("(12)"))
+
+    def test_engine_disagreement_names_the_base(self, monkeypatch):
+        # the engine's class off at one vertex: the path class, and every
+        # structure constant built from it, must raise rather than return
+        from gkmcalc.cohomology import CohomologyClass
+        from gkmcalc.errors import InternalConsistencyError
+
+        graph = permutahedron(3)
+        base = graph.vertex_by_label("(12)")
+        top = graph.vertex_by_label("(13)")
+        for check in (
+            lambda calc: calc.thom_class_paths(base),
+            lambda calc: calc.structure_constant(base, base, top),
+        ):
+            calc = ThomCalculator(polarize(graph))
+            right = calc.thom_class_inductive(base)
+            wrong = CohomologyClass(graph, {**right.values, top: right.values[top] * 2})
+            monkeypatch.setattr(calc, "thom_class_inductive", lambda vertex: wrong)
+            with pytest.raises(InternalConsistencyError, match=r"of \(12\) differ at \(13\)"):
+                check(calc)
+
+    def test_calculator_is_freed_without_the_collector(self):
+        # the memo lives on the instance and links nothing back to it, so
+        # reference counting alone frees a calculator and its reversal
+        import gc
+        import weakref
+
+        graph = permutahedron(3)
+        base = graph.vertex_by_label("(12)")
+        gc.disable()
+        try:
+            calc = ThomCalculator(polarize(graph))
+            calc.thom_class_paths(base)
+            calc.reversed_calculator().thom_class_paths(base)
+            refs = [weakref.ref(calc), weakref.ref(calc.reversed_calculator())]
+            del calc
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestThomClassInductive:

@@ -1,7 +1,8 @@
 """Tools outside the package must keep working against it.
 
 ``perfbench/tracer.py`` wraps the functions its ``TARGETS`` table names;
-a name that no longer resolves would only fail when a traced run starts.
+a name that no longer resolves would only fail when a traced run starts,
+and one traced pass of the ``xi-check`` workload runs the wrappers.
 ``scripts/flag_products.py`` imports the package directly, so a rename in
 ``src/`` would only show when someone runs it.  ``perfbench/reference.json``
 holds the expected output of every benchmark command, at the builders'
@@ -57,6 +58,33 @@ def test_tracer_target_resolves(name, target):
     else:
         value = getattr(module, member)
     assert callable(value), f"{name}: {attribute} is not callable"
+
+
+def test_traced_pass_counts_one_integral_per_structure_constant(tmp_path):
+    # a traced pass through perfbench/child.py, so that a change which
+    # breaks the tracer's wrappers fails here and not only in the benchmark;
+    # 277 integrals = 216 structure constants + 36 S_3 and 25 K_5 pairings
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "child.py"),
+            "pass",
+            "--workload",
+            "xi-check",
+            "--seed",
+            "1",
+            "--trace-dir",
+            str(tmp_path),
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    measurement = json.loads(result.stdout.splitlines()[-1])
+    assert measurement["failures"] == []
+    assert measurement["layers"]["cohomology.integrate.calls"]["value"] == 277
 
 
 def test_tracer_reads_polynomial_coefficients():
