@@ -3,8 +3,8 @@
 
 Prints, for every pair of basis classes, the expansion of their product in
 the basis, computed two ways: by triangular expansion and by the
-localization integrals of the path-sum classes.  The two must agree (the
-script asserts it).
+localization integrals of the classes that the path sums check.  The two
+must agree (the script asserts it).
 """
 
 import sys

@@ -318,7 +318,7 @@ def derive_connection(graph: GkmGraph) -> dict[tuple[int, int], int]:
                 if diff.is_zero or diff.proportional(edge.weight):
                     options.append(image)
             candidates[other] = options
-        matchings = _count_perfect_matchings(star, candidates, limit=2)
+        matchings = _count_perfect_matchings(star, candidates)
         if len(matchings) == 0:
             problems.append(f"edge {edge.key()}: no compatible connection")
         elif len(matchings) > 1:
@@ -336,17 +336,16 @@ def derive_connection(graph: GkmGraph) -> dict[tuple[int, int], int]:
     return connection
 
 
-def _count_perfect_matchings(
-    left: list[int], candidates: dict[int, list[int]], limit: int
-) -> list[dict[int, int]]:
-    """Backtracking enumeration of perfect matchings, stopping at `limit`."""
+def _count_perfect_matchings(left: list[int], candidates: dict[int, list[int]]) -> list[dict[int, int]]:
+    """Backtracking enumeration of perfect matchings, stopping at the
+    second: one matching is the connection, two make it ambiguous."""
     found: list[dict[int, int]] = []
     order = sorted(left, key=lambda o: len(candidates[o]))
     used: set[int] = set()
     current: dict[int, int] = {}
 
     def extend(position: int) -> None:
-        if len(found) >= limit:
+        if len(found) >= 2:
             return
         if position == len(order):
             found.append(dict(current))

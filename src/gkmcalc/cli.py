@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .builders import build_graph
-from .cohomology import CohomologyClass, integrate
+from .cohomology import CohomologyClass, cocycle_witness, integrate
 from .crosssection import chamber_levels, compose_transfer
 from .demo import run_demo
 from .errors import GkmCalcError
@@ -257,8 +257,6 @@ def cmd_integrate(args) -> int:
         graph.vertex_by_label(label): parse_polynomial(text, coordinate_names)
         for label, text in document.items()
     }
-    from .cohomology import cocycle_witness
-
     witness = cocycle_witness(graph, values)
     if witness is not None:
         _emit(args, f"[FAIL] not a cocycle: {witness}", {"ok": False, "witness": str(witness)})

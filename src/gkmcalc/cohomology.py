@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import CocycleError, GraphError, PolarizationError, ReductionError
 from .graph import GkmGraph, Polarization
@@ -71,8 +71,12 @@ class CohomologyClass:
                 degree,
             )
         if isinstance(other, (int, Fraction, Polynomial)):
+            degree = self.degree
+            if isinstance(other, Polynomial) and degree is not None:
+                h = other.homogeneous_degree()
+                degree = degree + h if h is not None and h >= 0 else None
             return CohomologyClass(
-                self.graph, {v: self.values[v] * other for v in self.graph.vertices}
+                self.graph, {v: self.values[v] * other for v in self.graph.vertices}, degree
             )
         return NotImplemented
 
@@ -144,11 +148,6 @@ def is_cocycle(graph: GkmGraph, values: Mapping[str, Polynomial]) -> bool:
     return cocycle_witness(graph, values) is None
 
 
-def vertex_volume_factors(graph: GkmGraph, vertex: str) -> list[LinearForm]:
-    """The weights at a vertex; their product inverts to delta_p."""
-    return [graph.weight(e) for e in graph.out_edges(vertex)]
-
-
 def integrate(f: CohomologyClass) -> Polynomial:
     """Localization integral: sum over vertices of value / product of weights.
 
@@ -157,16 +156,28 @@ def integrate(f: CohomologyClass) -> Polynomial:
     condition.
     """
     graph = f.graph
-    total = RationalExpr.zero(graph.dimension)
-    for vertex in graph.vertices:
-        value = f.values[vertex]
+    return _localization_sum(
+        graph.dimension,
+        ((f.values[v], map(graph.weight, graph.out_edges(v)), 1) for v in graph.vertices),
+        "localization sum did not reduce to a polynomial; input is not a cocycle",
+    )
+
+
+def _localization_sum(
+    dim: int, terms: Iterable[tuple[Polynomial, Iterable[LinearForm], RationalLike]], failure: str
+) -> Polynomial:
+    """Sum of value / (scalar * product of forms) over the nonzero terms,
+    one RationalExpr at a time (the Euler classes of K_n share few factors,
+    so one common denominator would raise the numerators' degree); a sum
+    that is not a polynomial raises ReductionError(failure)."""
+    total = RationalExpr.zero(dim)
+    for value, forms, scalar in terms:
         if value.is_zero:
             continue
-        total = total + RationalExpr.make(value, vertex_volume_factors(graph, vertex))
+        term = RationalExpr.make(value, forms)
+        total = total + (term if scalar == 1 else term.div_scalar(scalar))
     if not total.is_polynomial:
-        raise ReductionError(
-            "localization sum did not reduce to a polynomial; input is not a cocycle"
-        )
+        raise ReductionError(failure)
     return total.to_polynomial()
 
 
@@ -289,44 +300,29 @@ def kirwan(f: CohomologyClass, polarization: Polarization, c: RationalLike) -> C
     return CrossSectionClass(polarization, rat(c), values)
 
 
-def cross_section_volume_factors(polarization: Polarization, eid: int) -> list[LinearForm]:
-    """Linear factors of the cross-section volume at a cut edge.
-
-    The Thom class of the edge restricts at the cut vertex to the product of
-    the projections of the other weights at the edge's source.
-    """
-    graph = polarization.graph
-    edge = graph.edges[eid]
-    xi = polarization.xi
-    return [
-        rho_form(graph.weight(e), edge.weight, xi)
-        for e in graph.out_edges(edge.source)
-        if e != eid
-    ]
-
-
 def integrate_cross_section(F: CrossSectionClass) -> Polynomial:
     """Integration over a cross-section; lands in the xi-annihilator subring.
 
     The volume at a cut edge is the pairing of the edge weight with xi (the
     multiplicity of the reduced point) times the restriction of the edge's
-    Thom class there; with this normalization the integral of the
+    Thom class there: the product of the projections of the other weights
+    at the edge's source.  With this normalization the integral of the
     restriction of tau_p^+ tau_q^- across a unique-path edge is the local
     intersection number Theta_pq / alpha_e(xi).
     """
     polarization = F.polarization
-    dim = polarization.graph.dimension
-    total = RationalExpr.zero(dim)
-    for eid in F.cut_edges():
-        value = F.values[eid]
-        if value.is_zero:
-            continue
-        contribution = RationalExpr.make(
-            value, cross_section_volume_factors(polarization, eid)
-        ).div_scalar(polarization.pairings[eid])
-        total = total + contribution
-    if not total.is_polynomial:
-        raise ReductionError(
-            "cross-section integral did not reduce; class is outside the admitted image"
-        )
-    return total.to_polynomial()
+    graph, xi = polarization.graph, polarization.xi
+
+    def volume_factors(eid: int) -> Iterator[LinearForm]:
+        edge = graph.edges[eid]
+        others = (e for e in graph.out_edges(edge.source) if e != eid)
+        return (rho_form(graph.weight(e), edge.weight, xi) for e in others)
+
+    return _localization_sum(
+        graph.dimension,
+        (
+            (F.values[eid], volume_factors(eid), polarization.pairings[eid])
+            for eid in F.cut_edges()
+        ),
+        "cross-section integral did not reduce; class is outside the admitted image",
+    )

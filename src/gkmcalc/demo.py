@@ -9,7 +9,7 @@ nonzero if any fails.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .builders import complete_graph, permutahedron
 from .cohomology import kirwan
@@ -31,10 +31,10 @@ def _flag3_calculator() -> ThomCalculator:
     return ThomCalculator(polarize(graph))
 
 
-def check_longest_path_global(calc: Optional[ThomCalculator] = None) -> CheckResult:
+def check_longest_path_global() -> CheckResult:
     """On a longest ascending path every local intersection number is global,
     hence polynomial; self-indexing makes each one a constant."""
-    calc = calc or _flag3_calculator()
+    calc = _flag3_calculator()
     pol = calc.pol
     graph = calc.graph
     bottom = pol.minimum_vertices()[0]

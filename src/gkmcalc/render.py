@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import FormatError
 from .graph import GkmGraph
@@ -69,15 +69,15 @@ _TOKEN = re.compile(
 )
 
 
-def parse_polynomial(text: str, names: Sequence[str], dim: Optional[int] = None) -> Polynomial:
+def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse the canonical polynomial rendering back into a polynomial.
 
     The text is an optional sign and then terms joined by '+' or '-'; a term
     is factors joined by '*'; a factor is a rational p or p/q, or a variable
-    with an optional ^power.  Anything else raises FormatError.
+    with an optional ^power; the polynomial has one variable per name.
+    Anything else raises FormatError.
     """
-    if dim is None:
-        dim = len(names)
+    dim = len(names)
     index = {name: i for i, name in enumerate(names)}
     text = text.strip()
     total: dict = {}

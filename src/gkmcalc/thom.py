@@ -4,18 +4,18 @@ Each route has one job.  Classes come from one engine, thom_class_inductive
 (Newton interpolation over descending edges, exact division only); tau^-,
 pairings, the Thom basis and expansions in it all use it.  Its step, the
 flip-flop at one vertex, is _flip_flop, which cross-section transport shares.
-The path sums of thom_class_paths are its independent verifier: each path
-class is checked against the engine's class of the same base.  Structure
-constants c_pq^r are the localization integral of the checked path classes
-tau_p^+ tau_q^+ tau_r^-.  A calculator memoizes its values per instance
-(_memoized).
+The path sums of thom_class_paths are its independent verifier: each
+route's sums are checked against the engine's class of the same base at
+every vertex, and the engine's class is returned, so every Thom class is
+one object.  Structure constants c_pq^r are the localization integral of
+tau_p^+ tau_q^+ tau_r^-, each class verified by its path sums.  A
+calculator memoizes its values per instance (_memoized).
 
 For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
 (quotient of a polynomial by a product of linear forms) but the sum itself
-collapses to a polynomial; the reduction succeeding is a checked
-postcondition.  Every path weight is a product of per-edge factors along
-two independent routes,
+collapses to a polynomial.  Every path weight is a product of per-edge
+factors along two independent routes,
 
   * the intersection-number form: (-1)^m nu_q (iota_{e_1}/ahat_m)
     prod_{k>=2} iota_{e_k}/(ahat_{k-1} - ahat_k), with
@@ -23,11 +23,12 @@ two independent routes,
   * the transfer form Q(e_m) Q(gamma) rho_{e_1}(nu_p),
 
 so the path sums are carried edge by edge (_carry, which also sweeps the
-transfer matrices of crosssection), once along each route; the two must
-agree exactly, and disagreement raises, as a bug trap.  Paths are
-enumerated only where a path is the object: path_weight and path_sum;
-has_unique_path and the nearby-path configurations only count and measure
-them, by one sweep (path_counts).
+transfer matrices of crosssection), once along each route.  Each route
+must equal the engine's polynomial values exactly, which checks that the
+sums collapse and that the routes agree; a mismatch raises, as a bug trap.
+Paths are enumerated only where a path is the object: path_weight and
+path_sum; has_unique_path and the nearby-path configurations only count
+and measure them, by one sweep (path_counts).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .cohomology import CohomologyClass, cocycle_witness, integrate
 from .errors import (
     GraphError,
     InternalConsistencyError,
@@ -47,6 +49,7 @@ from .symbolic import (
     LinearForm,
     Polynomial,
     RationalExpr,
+    format_rational,
     rho_form,
     rho_poly,
 )
@@ -330,64 +333,43 @@ class ThomCalculator:
     # -- Thom classes ----------------------------------------------------------
 
     @_memoized
-    def thom_class_paths(self, base: str) -> "CohomologyClass":
-        """Thom class by the path-sum formula, with checked postconditions;
-        the verifier of thom_class_inductive.
+    def thom_class_paths(self, base: str) -> CohomologyClass:
+        """Thom class by the path-sum formula: the verifier of
+        thom_class_inductive, whose class it returns.
 
-        The sums are carried from the base once along each route and must
-        agree exactly at every vertex, reduce to a polynomial and be
-        homogeneous of degree sigma_base.  No ascending path returns to the
-        base, whose value is nu_base by construction.  The class must then
-        equal thom_class_inductive(base) at every vertex.
+        The sums are carried from the base once along each route, and each
+        route must equal the engine's class at every vertex: the closed sum
+        above the base, nu_base at the base (no ascending path returns to
+        it) and zero elsewhere.  The engine's class is a polynomial cocycle,
+        homogeneous of degree sigma_base, so this also checks that the sums
+        reduce, are homogeneous and agree between the routes.
         """
-        from .cohomology import CohomologyClass
-
         graph, pol = self.graph, self.pol
-        sigma = pol.sigma[base]
+        engine = self.thom_class_inductive(base)
         above = [v for v in pol.vertices_by_level() if pol.level(v) > pol.level(base)]
-        by_intersections, by_transfer = (
-            _carry(pol, {e: seed(e) for e in pol.ascending_out(base)}, above, step, close)[1]
-            for seed, step, close in self._routes()
-        )
-        values = {v: Polynomial.zero(graph.dimension) for v in graph.vertices}
-        values[base] = self.nu_plus(base)
-        for vertex in above:
-            total, other = by_intersections[vertex], by_transfer[vertex]
-            if total != other:
-                raise InternalConsistencyError(
-                    f"path sum routes disagree for the Thom class of {graph.label(base)} "
-                    f"at {graph.label(vertex)}: {total.render()} vs {other.render()}"
-                )
-            if not total.is_polynomial:
-                raise ReductionError(
-                    f"path sum at {graph.label(vertex)} did not reduce to a polynomial: "
-                    f"{total.render()}"
-                )
-            value = total.to_polynomial()
-            if value.homogeneous_degree() not in (-1, sigma):
-                raise InternalConsistencyError(
-                    f"value at {graph.label(vertex)} is not homogeneous of degree {sigma}"
-                )
-            values[vertex] = value
-        engine = self.thom_class_inductive(base).values
-        for vertex in pol.vertices_by_level():
-            if values[vertex] != engine[vertex]:
-                raise InternalConsistencyError(
-                    f"path-sum and engine Thom classes of {graph.label(base)} differ at "
-                    f"{graph.label(vertex)}: {values[vertex].render()} vs {engine[vertex].render()}"
-                )
-        return CohomologyClass(graph, values, degree=sigma)
+        zero = Polynomial.zero(graph.dimension)
+        for route, (seed, step, close) in zip(("intersection", "transfer"), self._routes()):
+            closed = _carry(pol, {e: seed(e) for e in pol.ascending_out(base)}, above, step, close)[1]
+            closed[base] = self.nu_plus(base)
+            for vertex in pol.vertices_by_level():
+                value = closed.get(vertex, zero)
+                if value != engine.values[vertex]:
+                    raise InternalConsistencyError(
+                        f"{route} path sum and engine Thom classes of {graph.label(base)} "
+                        f"differ at {graph.label(vertex)} for "
+                        f"xi=({', '.join(map(format_rational, pol.xi))}): "
+                        f"{value.render()} vs {engine.values[vertex].render()}"
+                    )
+        return engine
 
     @_memoized
-    def thom_class_inductive(self, base: str) -> "CohomologyClass":
+    def thom_class_inductive(self, base: str) -> CohomologyClass:
         """Thom class by Newton interpolation over descending edges, lowest
         level first; vertices not reachable from the base get zero.
 
         The result is checked to be a cocycle along every edge and
         homogeneous of degree sigma_base.
         """
-        from .cohomology import CohomologyClass, cocycle_witness
-
         graph, pol = self.graph, self.pol
         zero = Polynomial.zero(graph.dimension)
         values = {v: zero for v in graph.vertices}
@@ -412,7 +394,7 @@ class ThomCalculator:
             )
         return CohomologyClass(graph, values, degree=pol.sigma[base])
 
-    def thom_class_minus(self, base: str) -> "CohomologyClass":
+    def thom_class_minus(self, base: str) -> CohomologyClass:
         """Descending Thom class: the ascending class for the reversed polarization."""
         return self.reversed_calculator().thom_class_inductive(base)
 
@@ -421,22 +403,18 @@ class ThomCalculator:
     def pairing(self, p: str, q: str) -> Polynomial:
         """Localization integral of tau_p^+ tau_q^-; the identity matrix when
         the Morse function is self-indexing."""
-        from .cohomology import integrate
-
         return integrate(self.thom_class_inductive(p) * self.thom_class_minus(q))
 
     def structure_constant(self, p: str, q: str, r: str) -> Polynomial:
-        """c_pqr as the localization integral of tau_p^+ tau_q^+ tau_r^- built
-        from the path-sum classes, each of which thom_class_paths checks
-        against the interpolation engine's class."""
-        from .cohomology import integrate
-
+        """c_pqr as the localization integral of tau_p^+ tau_q^+ tau_r^-: the
+        engine's classes, each returned by thom_class_paths once both of its
+        path-sum routes are checked against it."""
         rev = self.reversed_calculator()
         return integrate(
             self.thom_class_paths(p) * self.thom_class_paths(q) * rev.thom_class_paths(r)
         )
 
-    def expand_in_thom_basis(self, f: "CohomologyClass") -> dict[str, Polynomial]:
+    def expand_in_thom_basis(self, f: CohomologyClass) -> dict[str, Polynomial]:
         """Coefficients c_r with f = sum c_r tau_r^+, by triangular peeling.
 
         Vertices are processed in increasing Morse order; at each vertex the

@@ -5,6 +5,7 @@ import pytest
 from gkmcalc.builders import complete_graph, permutahedron
 from gkmcalc.cohomology import (
     CohomologyClass,
+    CrossSectionClass,
     cocycle_witness,
     constant_class,
     cut_edge_ids,
@@ -14,6 +15,7 @@ from gkmcalc.cohomology import (
     is_cocycle,
     kirwan,
 )
+from gkmcalc.crosssection import chamber_levels
 from gkmcalc.errors import CocycleError, ReductionError
 from gkmcalc.graph import polarize
 from gkmcalc.interpolation import elementary_symmetric
@@ -104,7 +106,7 @@ class TestIntegrate:
         graph = complete_graph(3)
         values = {v: Polynomial.zero(3) for v in graph.vertices}
         values["p1"] = Polynomial.one(3)
-        with pytest.raises(ReductionError):
+        with pytest.raises(ReductionError, match="not a cocycle"):
             integrate(CohomologyClass(graph, values))
 
 
@@ -131,6 +133,20 @@ class TestProduct:
         assert product.values[top] == (-a1 - a2) * (-a1 - a2)
         assert product.degree == f.degree + g.degree
         assert is_cocycle(flag3, product.values)
+
+    def test_scalar_multiples_keep_the_degree(self, flag3_calc):
+        # so that __post_init__ checks their homogeneity too
+        graph = flag3_calc.graph
+        a = flag3_calc.thom_class_inductive(graph.vertex_by_label("(231)"))
+        b = flag3_calc.thom_class_inductive(graph.vertex_by_label("(312)"))
+        x1 = Polynomial.variable(0, 3)
+        assert a.degree == b.degree == 2
+        assert (a - b).degree == 2
+        assert (a * 2).degree == (a * Fraction(1, 3)).degree == (2 * a).degree == 2
+        assert (a * x1).degree == 3
+        assert (a * (x1 * x1)).degree == 4
+        assert (a * Polynomial.constant(5, 3)).degree == 2
+        assert (a * (x1 + 1)).degree is None
 
 
 class TestEdgeClass:
@@ -242,6 +258,17 @@ class TestIntegrateCrossSection:
             iota = flag3_calc.iota(edge.eid)
             assert iota.is_global
             assert iota.value.equals(RationalExpr.from_polynomial(value))
+
+    def test_class_outside_the_image_fails_to_reduce(self, flag3_calc):
+        # 1 on one cut edge of the first chamber and 0 on the others is not
+        # the restriction of any class
+        pol = flag3_calc.pol
+        level = chamber_levels(pol)[1]
+        first, *others = cut_edge_ids(pol, level)
+        values = {first: Polynomial.one(3), **{e: Polynomial.zero(3) for e in others}}
+        F = CrossSectionClass(pol, level, values)
+        with pytest.raises(ReductionError, match="outside the admitted image"):
+            integrate_cross_section(F)
 
     def test_self_indexing_gives_constants(self, flag3_calc):
         # with a self-indexing Morse function the unique-path pairing has

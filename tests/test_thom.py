@@ -370,8 +370,38 @@ class TestThomClassPaths:
         monkeypatch.setattr(ThomCalculator, "q_edge", lambda self, eid: original(self, eid) * 2)
         graph = permutahedron(3)
         calc = ThomCalculator(polarize(graph))
-        with pytest.raises(InternalConsistencyError, match=r"Thom class of \(12\) at"):
+        with pytest.raises(
+            InternalConsistencyError, match=r"^transfer path sum .* of \(12\) differ at \(231\) for xi="
+        ):
             calc.thom_class_paths(graph.vertex_by_label("(12)"))
+
+    def test_intersection_route_disagreement_names_the_route(self, monkeypatch):
+        # one intersection-number factor off by two: that route's sums
+        # differ from the engine's class, and the error says which route
+        from gkmcalc.errors import InternalConsistencyError
+
+        original = ThomCalculator._iota_close
+        monkeypatch.setattr(
+            ThomCalculator, "_iota_close", lambda self, eid: original(self, eid) * 2
+        )
+        graph = permutahedron(3)
+        calc = ThomCalculator(polarize(graph))
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^intersection path sum .* of \(12\) differ at \(231\) for xi=\(1, 2, 3\): ",
+        ):
+            calc.thom_class_paths(graph.vertex_by_label("(12)"))
+
+    @pytest.mark.parametrize("spec", ["permutahedron:3", "complete:5"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_returns_the_engine_class(self, spec, reverse):
+        # the path sums only verify: every Thom class is the engine's object
+        graph = build_graph(spec)
+        calc = ThomCalculator(polarize(graph))
+        if reverse:
+            calc = calc.reversed_calculator()
+        for base in graph.vertices:
+            assert calc.thom_class_paths(base) is calc.thom_class_inductive(base)
 
     def test_engine_disagreement_names_the_base(self, monkeypatch):
         # the engine's class off at one vertex: the path class, and every

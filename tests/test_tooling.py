@@ -135,6 +135,9 @@ RATIONAL_OUTPUTS = {
     "transfer --graph permutahedron:4 --format structured": (
         "26b5a55d63104c1d34dff73d7d0d932b865cfb7bf9b6ecd86b2dab61f76c6936"
     ),
+    "structconst --graph complete:5 --p p2 --q p3 --format structured": (
+        "1cc5a45f4bfacb6ad4d1de8e2542e54898bdb00d58cf867d1b5fe4b998334657"
+    ),
 }
 
 
