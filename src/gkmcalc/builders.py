@@ -338,29 +338,32 @@ def derive_connection(graph: GkmGraph) -> dict[tuple[int, int], int]:
 
 def _count_perfect_matchings(left: list[int], candidates: dict[int, list[int]]) -> list[dict[int, int]]:
     """Backtracking enumeration of perfect matchings, stopping at the
-    second: one matching is the connection, two make it ambiguous."""
-    found: list[dict[int, int]] = []
+    second: one matching is the connection, two make it ambiguous.  An
+    explicit stack keeps the depth of a high-valence vertex off the call
+    stack."""
     order = sorted(left, key=lambda o: len(candidates[o]))
+    if not order:
+        return [{}]
+    found: list[dict[int, int]] = []
     used: set[int] = set()
     current: dict[int, int] = {}
-
-    def extend(position: int) -> None:
-        if len(found) >= 2:
-            return
-        if position == len(order):
+    # tries[k]: the images of order[k] not yet tried under current's
+    # images of order[:k]
+    tries = [iter(candidates[order[0]])]
+    while tries and len(found) < 2:
+        other = order[len(tries) - 1]
+        if other in current:
+            used.discard(current.pop(other))
+        image = next((i for i in tries[-1] if i not in used), None)
+        if image is None:
+            tries.pop()
+            continue
+        used.add(image)
+        current[other] = image
+        if len(tries) == len(order):
             found.append(dict(current))
-            return
-        other = order[position]
-        for image in candidates[other]:
-            if image in used:
-                continue
-            used.add(image)
-            current[other] = image
-            extend(position + 1)
-            used.discard(image)
-            del current[other]
-
-    extend(0)
+        else:
+            tries.append(iter(candidates[order[len(tries)]]))
     return found
 
 

@@ -9,7 +9,7 @@ structured mirrors the same content as JSON.  Exit status: 0 on success,
 or with a zero pairing among them), on an exponent above 2**15 - 1 in one
 variable, and when the reader of standard output closes it early, 2 on
 usage errors (a malformed graph spec, --xi value or transfer level, an
-unreadable or malformed class file).
+unreadable graph file, an unreadable or malformed class file).
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ def _build_graph(spec: str) -> GkmGraph:
         raise
     except ValueError as exc:  # a size that is not an integer, as in complete:abc
         raise UsageError(f"bad graph spec {spec!r}: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"cannot read graph file {spec!r}: {exc}") from exc
 
 
 def _graph_and_polarization(args) -> tuple[GkmGraph, Polarization]:

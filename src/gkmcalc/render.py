@@ -114,15 +114,17 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         else:
             if not expect_factor:
                 raise fail("missing '*'")
-            if match["rational"]:
-                try:
-                    coeff *= Fraction(match["rational"])
-                except ZeroDivisionError:
-                    raise fail("zero denominator") from None
-            elif match["name"] in index:
-                expo[index[match["name"]]] += int(match["power"] or 1)
-            else:
+            if match["name"] and match["name"] not in index:
                 raise FormatError(f"unknown variable {match['name']!r} in polynomial {text!r}")
+            try:
+                if match["rational"]:
+                    coeff *= Fraction(match["rational"])
+                else:
+                    expo[index[match["name"]]] += int(match["power"] or 1)
+            except ZeroDivisionError:
+                raise fail("zero denominator") from None
+            except ValueError:  # past the interpreter's limit on digits read by int()
+                raise fail("numeral too long") from None
             expect_factor = False
         position = match.end()
     if expect_factor:

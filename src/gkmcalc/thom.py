@@ -1,9 +1,11 @@
 """Thom classes, intersection numbers, pairings and structure constants.
 
 Each route has one job.  Classes come from one engine, thom_class_inductive
-(Newton interpolation over descending edges, exact division only); tau^-,
+(Newton interpolation through sigma_base + 1 descending edges of each
+vertex, zero-valued neighbours first, exact division only); tau^-,
 pairings, the Thom basis and expansions in it all use it.  Its step, the
-flip-flop at one vertex, is _flip_flop, which cross-section transport shares.
+flip-flop at one vertex, is _flip_flop, which cross-section transport
+shares on every descending edge.
 The path sums of thom_class_paths are its independent verifier: each
 route's sums are checked against the engine's class of the same base at
 every vertex, and the engine's class is returned, so every Thom class is
@@ -367,7 +369,13 @@ class ThomCalculator:
         """Thom class by Newton interpolation over descending edges, lowest
         level first; vertices not reachable from the base get zero.
 
-        The result is checked to be a cocycle along every edge and
+        A reached vertex's value psi is homogeneous of degree
+        d = sigma_base, so t -> psi(x - t xi) has degree at most d, and the
+        GKM weights at a vertex are pairwise independent, so its nodes
+        ahat_j are distinct: any d + 1 descending edges fix psi.  The first
+        d + 1 are taken after a stable sort that puts edges whose lower end
+        is zero first, the cheapest nodes.  The result is checked to be a
+        cocycle along every edge, the skipped ones included, and
         homogeneous of degree sigma_base.
         """
         graph, pol = self.graph, self.pol
@@ -376,17 +384,21 @@ class ThomCalculator:
         values[base] = self.nu_plus(base)
         reached = {base}
         base_level = pol.level(base)
+        nodes = pol.sigma[base] + 1
         for vertex in pol.vertices_by_level():
             if pol.level(vertex) <= base_level:
                 continue
             descending = pol.descending_out(vertex)
             if any(graph.edges[e].target in reached for e in descending):
                 reached.add(vertex)
+                chosen = sorted(
+                    descending, key=lambda e: not values[graph.edges[e].target].is_zero
+                )[:nodes]
                 incoming = [
                     rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi)
-                    for e in descending
+                    for e in chosen
                 ]
-                values[vertex] = _flip_flop(pol, vertex, descending, incoming)
+                values[vertex] = _flip_flop(pol, vertex, chosen, incoming)
         witness = cocycle_witness(graph, values)
         if witness is not None:
             raise InternalConsistencyError(
@@ -488,8 +500,8 @@ def _carry(
 def _flip_flop(
     pol: Polarization, vertex: str, descending: Sequence[int], values: Sequence[Polynomial]
 ) -> Polynomial:
-    """The flip-flop psi at a vertex: rho_j(psi) = values[j] on every
-    descending edge j, as the Newton form through the nodes
+    """The flip-flop psi at a vertex: rho_j(psi) = values[j] on the given
+    descending edges j, as the Newton form through the nodes
     ahat_j = alpha_j/alpha_j(xi), evaluated at zero.  Its divided differences
     are exact quotients by differences of nodes, so no rational expression
     appears; an inexact one raises ReductionError naming both edges."""

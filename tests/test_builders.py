@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.builders import (
+    _count_perfect_matchings,
     build_graph,
     complete_graph,
     complete_graph_on_points,
@@ -228,6 +229,29 @@ json_values = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
     max_leaves=6,
 )
+
+
+class TestPerfectMatchings:
+    def test_high_valence_does_not_recurse(self):
+        # one candidate per edge, far past the recursion limit
+        left = list(range(5000))
+        matchings = _count_perfect_matchings(left, {o: [o] for o in left})
+        assert matchings == [{o: o for o in left}]
+
+    def test_stops_at_the_second_in_search_order(self):
+        assert _count_perfect_matchings([0, 1], {0: [10, 11], 1: [10, 11]}) == [
+            {0: 10, 1: 11},
+            {0: 11, 1: 10},
+        ]
+        # six matchings exist; the first two found are returned
+        full = {o: [5, 6, 7] for o in (0, 1, 2)}
+        assert _count_perfect_matchings([0, 1, 2], full) == [
+            {0: 5, 1: 6, 2: 7},
+            {0: 5, 1: 7, 2: 6},
+        ]
+
+    def test_no_matching(self):
+        assert _count_perfect_matchings([0, 1], {0: [5], 1: [5]}) == []
 
 
 class TestMalformedDocument:

@@ -471,6 +471,21 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("[FAIL] ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command,spec",
+        [
+            ("betti", "file:{tmp}/absent.graph"),
+            ("validate", "file:"),  # the current directory
+            ("validate", "{tmp}"),  # a bare path to a directory
+        ],
+    )
+    def test_unreadable_graph_file(self, capsys, tmp_path, command, spec):
+        code, out, err = run(capsys, command, "--graph", spec.format(tmp=tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("[FAIL] cannot read graph file ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("text", ['{"p1": "x1",', '["x1", "x2", "x3"]'])
     def test_malformed_class_file(self, capsys, tmp_path, text):
         path = tmp_path / "cls.json"

@@ -25,6 +25,21 @@ def build_poly(d):
 
 polys3 = st.dictionaries(exponents3, rationals, max_size=6).map(build_poly)
 
+# polynomial-like text in two variables: names known and unknown, numerals,
+# operators, whitespace, stray characters, exponents past the packed range
+# (2**15 - 1) and a numeral past int()'s digit limit
+polynomial_texts = st.lists(
+    st.one_of(
+        st.sampled_from(
+            ["x1", "x2", "x3", "a1", "y", "+", "-", "*", "^", "/", " ", "\t", "\n"]
+            + ["(", ")", ".", ",", "e", "_", "**", "é", "1e5", "9" * 5000]
+        ),
+        st.integers(0, 10**6).map(str),
+        st.integers(2**15 - 2, 10**9).map("^{}".format),
+    ),
+    max_size=25,
+).map("".join)
+
 
 class TestParseRoundTrip:
     @given(polys3)
@@ -61,6 +76,22 @@ class TestParseRoundTrip:
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             parse_polynomial(text, ("x1", "x2"))
+
+    @pytest.mark.parametrize("prefix", ["", "1/", "x1^"])
+    def test_numeral_past_the_digit_limit_rejected(self, prefix):
+        # int() refuses more than 4,300 digits with a bare ValueError
+        with pytest.raises(FormatError, match="numeral too long"):
+            parse_polynomial(prefix + "9" * 5000, ("x1", "x2"))
+
+    @given(polynomial_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_text_is_rejected_or_round_trips(self, text):
+        names = ("x1", "x2")
+        try:
+            poly = parse_polynomial(text, names)
+        except (FormatError, OverflowError):
+            return
+        assert parse_polynomial(poly.render(names), names) == poly
 
 
 class TestRootBasis:

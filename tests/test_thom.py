@@ -3,14 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import thom as thom_module
 from gkmcalc.builders import build_graph, complete_graph, load_graph, permutahedron
 from gkmcalc.cohomology import integrate, is_cocycle
 from gkmcalc.demo import flag3_expected_table
 from gkmcalc.graph import longest_path_morse, polarize
 from gkmcalc.render import to_root_basis
-from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr
+from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, rho_poly
 from gkmcalc.thom import (
     ThomCalculator,
+    _flip_flop,
     nearby_path_configurations,
     nearby_path_identity,
 )
@@ -485,6 +487,55 @@ class TestThomClassInductive:
         # the 24-vertex Cayley graph: every base vertex, both algorithms
         for base in s4_calc.pol.vertices_by_level():
             assert s4_calc.thom_class_inductive(base) == s4_calc.thom_class_paths(base)
+
+    @pytest.mark.parametrize("spec", ["permutahedron:4", "complete:5"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_equals_the_interpolant_through_every_edge(self, spec, reverse):
+        # the engine interpolates through sigma_base + 1 descending edges;
+        # the Newton form through all of them must give the same value
+        calc = ThomCalculator(polarize(build_graph(spec)))
+        if reverse:
+            calc = calc.reversed_calculator()
+        graph, pol = calc.graph, calc.pol
+        for base in graph.vertices:
+            values = calc.thom_class_inductive(base).values
+            for vertex in graph.vertices:
+                if pol.level(vertex) <= pol.level(base):
+                    continue
+                descending = pol.descending_out(vertex)
+                incoming = [
+                    rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi)
+                    for e in descending
+                ]
+                assert _flip_flop(pol, vertex, descending, incoming) == values[vertex]
+
+    def test_rho_poly_calls_per_vertex(self, monkeypatch):
+        # each reached vertex above the base maps min(#descending,
+        # sigma_base + 1) lower values across its edges, the zero ones first
+        zero_inputs = []
+        monkeypatch.setattr(
+            thom_module,
+            "rho_poly",
+            lambda poly, *args: zero_inputs.append(poly.is_zero) or rho_poly(poly, *args),
+        )
+        calc = ThomCalculator(polarize(permutahedron(4)))
+        graph, pol = calc.graph, calc.pol
+        total = 0
+        for base in pol.vertices_by_level():
+            del zero_inputs[:]
+            values = calc.thom_class_inductive(base).values
+            calls = nonzero_calls = 0
+            for vertex in calc.path_counts(base):
+                if vertex == base:
+                    continue
+                lower = [values[graph.edges[e].target] for e in pol.descending_out(vertex)]
+                used = min(len(lower), pol.sigma[base] + 1)
+                calls += used
+                nonzero_calls += max(0, used - sum(value.is_zero for value in lower))
+            assert len(zero_inputs) == calls
+            assert zero_inputs.count(False) == nonzero_calls
+            total += calls
+        assert total == 545  # 778 through every descending edge
 
 
 class TestThomMinus:
