@@ -20,7 +20,6 @@ from .cohomology import (
     edge_class,
     integrate,
     integrate_cross_section,
-    is_cocycle,
     kirwan,
 )
 from .crosssection import (

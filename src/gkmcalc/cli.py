@@ -9,7 +9,8 @@ structured mirrors the same content as JSON.  Exit status: 0 on success,
 or with a zero pairing among them), on an exponent above 2**15 - 1 in one
 variable, and when the reader of standard output closes it early, 2 on
 usage errors (a malformed graph spec, --xi value or transfer level, an
-unreadable graph file, an unreadable or malformed class file).
+unreadable graph file, an unreadable or malformed class file, exactly one
+of pair's --p and --q).
 """
 
 from __future__ import annotations
@@ -165,10 +166,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    if (args.p is None) != (args.q is None):
+        raise UsageError("pair takes both --p and --q, or neither")
     graph, pol = _graph_and_polarization(args)
     calc = ThomCalculator(pol)
     names, convert = _names_and_convert(graph, args.basis)
-    if args.p and args.q:
+    if args.p is not None:
         value = calc.pairing(graph.vertex_by_label(args.p), graph.vertex_by_label(args.q))
         text = convert(value).render(names)
         _emit(args, text, {"p": args.p, "q": args.q, "integral": text})
@@ -341,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", help="descending base vertex")
     p.set_defaults(handler=cmd_pair)
 
-    p = sub.add_parser("structconst", help="structure constants by path configurations")
+    p = sub.add_parser(
+        "structconst",
+        help="structure constants: integrals of Thom classes checked by path sums, "
+        "compared with the Thom-basis expansion",
+    )
     add_common(p)
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)

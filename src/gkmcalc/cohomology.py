@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import CocycleError, GraphError, PolarizationError, ReductionError
 from .graph import GkmGraph, Polarization
@@ -104,9 +104,6 @@ class CohomologyClass:
             self.values[v] == other.values[v] for v in self.graph.vertices
         )
 
-    def render(self, names: Optional[Sequence[str]] = None) -> dict[str, str]:
-        return {v: self.values[v].render(names) for v in self.graph.vertices}
-
 
 def constant_class(graph: GkmGraph, value: RationalLike = 1) -> CohomologyClass:
     poly = Polynomial.constant(rat(value), graph.dimension)
@@ -142,10 +139,6 @@ def cocycle_witness(
         if difference.divide_linear(edge.weight) is None:
             return CocycleWitness(edge.key(), edge.weight, difference)
     return None
-
-
-def is_cocycle(graph: GkmGraph, values: Mapping[str, Polynomial]) -> bool:
-    return cocycle_witness(graph, values) is None
 
 
 def integrate(f: CohomologyClass) -> Polynomial:
@@ -260,7 +253,7 @@ def cut_edge_ids(polarization: Polarization, c: RationalLike) -> tuple[int, ...]
     """Ascending edges e with phi(i(e)) < c < phi(t(e)), in edge-id order."""
     level = rat(c)
     if not polarization.is_regular(level):
-        raise PolarizationLevelError(level)
+        raise PolarizationError(f"{level} is a critical value of the Morse function")
     graph = polarization.graph
     cut = []
     for edge in graph.edges:
@@ -269,11 +262,6 @@ def cut_edge_ids(polarization: Polarization, c: RationalLike) -> tuple[int, ...]
         if polarization.level(edge.source) < level < polarization.level(edge.target):
             cut.append(edge.eid)
     return tuple(cut)
-
-
-class PolarizationLevelError(PolarizationError):
-    def __init__(self, level):
-        super().__init__(f"{level} is a critical value of the Morse function")
 
 
 def kirwan(f: CohomologyClass, polarization: Polarization, c: RationalLike) -> CrossSectionClass:

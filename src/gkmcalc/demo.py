@@ -75,8 +75,8 @@ def check_nearby_paths() -> CheckResult:
 def flag3_expected_table() -> dict[str, dict[str, Polynomial]]:
     """The published 6x6 table of Thom classes for the flag variety of SL(3),
     built directly from the simple-root forms."""
-    a1 = LinearForm.make([-1, 1, 0]).as_polynomial()
-    a2 = LinearForm.make([0, -1, 1]).as_polynomial()
+    a1 = LinearForm([-1, 1, 0]).as_polynomial()
+    a2 = LinearForm([0, -1, 1]).as_polynomial()
     zero = Polynomial.zero(3)
     one = Polynomial.one(3)
     return {
@@ -123,8 +123,8 @@ def check_flag_path_weights() -> CheckResult:
     calc = _flag3_calculator()
     graph = calc.graph
     pol = calc.pol
-    a1 = LinearForm.make([-1, 1, 0])
-    a2 = LinearForm.make([0, -1, 1])
+    a1 = LinearForm([-1, 1, 0])
+    a2 = LinearForm([0, -1, 1])
     s1, s2 = a1.pair(pol.xi), a2.pair(pol.xi)
     denominator = a1.scale(s2) - a2.scale(s1)
     p = graph.vertex_by_label("(12)")
@@ -140,11 +140,11 @@ def check_flag_path_weights() -> CheckResult:
     sum_poly = (a1 + a2).as_polynomial()
     expected_one = RationalExpr.make(a2.as_polynomial() * sum_poly * s1, [denominator])
     expected_two = RationalExpr.make(a1.as_polynomial() * sum_poly * (-s2), [denominator])
-    if not got_one.equals(expected_one):
+    if got_one != expected_one:
         return CheckResult("flag-variety path weights", False, f"E(gamma_1) = {got_one}")
-    if not got_two.equals(expected_two):
+    if got_two != expected_two:
         return CheckResult("flag-variety path weights", False, f"E(gamma_2) = {got_two}")
-    if not (got_one + got_two).equals(RationalExpr.from_polynomial(-sum_poly)):
+    if got_one + got_two != RationalExpr(-sum_poly):
         return CheckResult("flag-variety path weights", False, "sum is not -a1-a2")
     return CheckResult("flag-variety path weights", True, "E(gamma_1), E(gamma_2) and their sum")
 
@@ -176,7 +176,7 @@ def check_minimum_class() -> CheckResult:
             total = RationalExpr.zero(graph.dimension)
             for down in pol.descending_out(vertex):
                 total = total + calc.q_edge(graph.reverse(down))
-            if not total.equals(RationalExpr.one(graph.dimension)):
+            if total != RationalExpr.one(graph.dimension):
                 return CheckResult(
                     "minimum class", False, f"{spec}: weight sum at {graph.label(vertex)}"
                 )

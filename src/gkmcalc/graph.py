@@ -288,9 +288,6 @@ class Polarization:
     _descending: Mapping[str, tuple[int, ...]]
     _by_level: tuple[str, ...]
 
-    def sign(self, eid: int) -> int:
-        return 1 if self.ascending(eid) else -1
-
     def ascending(self, eid: int) -> bool:
         return eid in self._ascending[self.graph.edges[eid].source]
 

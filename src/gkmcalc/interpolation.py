@@ -60,23 +60,13 @@ def node_difference_factors(nodes: Sequence[LinearForm], j: int) -> list[LinearF
 def lagrange_interpolate(points: Sequence[tuple[LinearForm, Polynomial]]) -> list[RationalExpr]:
     """Coefficients g_1..g_n of the interpolating polynomial sum g_i x^{i-1}.
 
-    g_i = (-1)^{n-i} * sum_j sigma^j_{n-i} f_j / prod_{l != j} (x_j - x_l).
+    g_i = sum_j b_ij f_j with b the :func:`vandermonde_inverse` of the nodes.
     Each g_i reduces to a polynomial iff x_i - x_j divides f_i - f_j for
     every pair of prescribed values.
     """
-    nodes = [p[0] for p in points]
-    values = [p[1] for p in points]
-    dim = _check_nodes(nodes)
-    n = len(nodes)
-    coefficients = []
-    for i in range(1, n + 1):
-        sign = 1 if (n - i) % 2 == 0 else -1
-        total = RationalExpr.zero(dim)
-        for j in range(n):
-            numerator = elementary_symmetric_excluding(nodes, j, n - i) * values[j] * sign
-            total = total + RationalExpr.make(numerator, node_difference_factors(nodes, j))
-        coefficients.append(total)
-    return coefficients
+    inverse = vandermonde_inverse([node for node, _ in points])
+    return [row[0] for row in matrix_product(inverse, [[value] for _, value in points])]
+
 
 def interpolation_value(coefficients: Sequence[RationalExpr], node: LinearForm) -> RationalExpr:
     """Evaluate p(x) = sum g_i x^{i-1} at a linear form."""

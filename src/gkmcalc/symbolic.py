@@ -26,10 +26,10 @@ runs on ints.  Every rational value a caller sees is a `fractions.Fraction`:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import re
+from decimal import Decimal
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -76,10 +76,13 @@ def _int_vector(values: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text for a rational: integers bare, otherwise "p/q"."""
+    """Canonical text for a rational: integers bare, otherwise "p/q".
+
+    The digits come from Decimal, which is exact for ints and, unlike
+    str(int), has no limit on their number."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def default_names(dim: int) -> tuple[str, ...]:
@@ -122,10 +125,6 @@ class LinearForm:
 
     def __reduce__(self):
         return LinearForm._canonical, (self._num, self._den)
-
-    @staticmethod
-    def make(values: Iterable[RationalLike]) -> "LinearForm":
-        return LinearForm(values)
 
     @staticmethod
     def zero(dim: int) -> "LinearForm":
@@ -762,7 +761,7 @@ class RationalExpr:
     (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1), which the invariant and
     primality decide:
 
-    * `make` and `reduce` try every factor: their numerator is arbitrary.
+    * `make` tries every factor: its numerator is arbitrary.
     * `*` never tries a factor of both operands, since it divides neither
       numerator; a factor of one operand only is divided out of the other
       operand's numerator, and the product is not trial-divided.
@@ -783,23 +782,16 @@ class RationalExpr:
         self.den = den
 
     @staticmethod
-    def make(num: Polynomial, factors: Iterable[Union[LinearForm, DenFactor]] = ()) -> "RationalExpr":
-        """Build and canonicalize; `factors` may repeat and need not be monic."""
+    def make(num: Polynomial, factors: Iterable[LinearForm] = ()) -> "RationalExpr":
+        """num / prod(factors), canonicalized; `factors` may repeat and need
+        not be monic."""
         collected: dict[LinearForm, int] = {}
         top = bottom = 1  # the scalar the factors carry, top/bottom
-        for item in factors:
-            if isinstance(item, LinearForm):
-                form, mult = item, 1
-            else:
-                form, mult = item
-            if mult == 0:
-                continue
-            if mult < 0:
-                raise ValueError("denominator multiplicities must be positive")
+        for form in factors:
             monic, s = _monic(form)
-            collected[monic] = collected.get(monic, 0) + mult
-            top *= s.numerator**mult
-            bottom *= s.denominator**mult
+            collected[monic] = collected.get(monic, 0) + 1
+            top *= s.numerator
+            bottom *= s.denominator
         if num.is_zero:
             return RationalExpr(num, ())
         num = num * Fraction(bottom, top)
@@ -849,10 +841,6 @@ class RationalExpr:
         return RationalExpr(num, den)
 
     @staticmethod
-    def from_polynomial(poly: Polynomial) -> "RationalExpr":
-        return RationalExpr(poly, ())
-
-    @staticmethod
     def zero(dim: int) -> "RationalExpr":
         return RationalExpr(Polynomial.zero(dim), ())
 
@@ -880,22 +868,17 @@ class RationalExpr:
     def den_dict(self) -> dict[LinearForm, int]:
         return dict(self.den)
 
-    def den_polynomial(self) -> Polynomial:
-        return Polynomial.product_of_forms(
-            itertools.chain.from_iterable([f] * m for f, m in self.den), self.dim
-        )
-
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other) -> "RationalExpr":
         if isinstance(other, RationalExpr):
             return other
         if isinstance(other, Polynomial):
-            return RationalExpr.from_polynomial(other)
+            return RationalExpr(other)
         if isinstance(other, LinearForm):
-            return RationalExpr.from_polynomial(other.as_polynomial())
+            return RationalExpr(other.as_polynomial())
         if isinstance(other, (int, Fraction)):
-            return RationalExpr.from_polynomial(Polynomial.constant(other, self.dim))
+            return RationalExpr(Polynomial.constant(other, self.dim))
         return NotImplemented
 
     def __add__(self, other) -> "RationalExpr":
@@ -975,13 +958,6 @@ class RationalExpr:
 
     # -- comparison -----------------------------------------------------
 
-    def equals(self, other) -> bool:
-        """Mathematical equality via cross-multiplication."""
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        return self.num * rhs.den_polynomial() == rhs.num * self.den_polynomial()
-
     def __eq__(self, other) -> bool:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
@@ -990,11 +966,6 @@ class RationalExpr:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def reduce(self) -> "RationalExpr":
-        """Re-run trial division; idempotent because construction reduces."""
-        collected = self.den_dict()
-        return RationalExpr._reduced(self.num, collected, list(collected))
 
     def degree(self) -> Optional[int]:
         """Homogeneous degree (numerator degree minus denominator degree)."""

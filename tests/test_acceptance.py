@@ -28,8 +28,8 @@ from gkmcalc.thom import (
     nearby_path_identity,
 )
 
-A1 = LinearForm.make([-1, 1, 0])
-A2 = LinearForm.make([0, -1, 1])
+A1 = LinearForm([-1, 1, 0])
+A2 = LinearForm([0, -1, 1])
 
 _failures: list[str] = []
 
@@ -80,8 +80,8 @@ def test_criterion_02_flag_path_weights(flag3):
         expected_two = RationalExpr.make(A1.as_polynomial() * top * (-s2), [w])
         got_one = calc.path_weight(by_middle["(231)"])
         got_two = calc.path_weight(by_middle["(312)"])
-        ok = ok and got_one.equals(expected_one) and got_two.equals(expected_two)
-        ok = ok and (got_one + got_two).equals(RationalExpr.from_polynomial(-top))
+        ok = ok and got_one == expected_one and got_two == expected_two
+        ok = ok and got_one + got_two == RationalExpr(-top)
     report(
         "criterion 2: displayed path weights at concrete polarizations",
         ok,
@@ -212,14 +212,14 @@ def test_criterion_09_interpolation_identities():
                 if coeffs in seen or coeffs == (0, 0):
                     continue
                 seen.add(coeffs)
-                nodes.append(LinearForm.make(coeffs))
+                nodes.append(LinearForm(coeffs))
             ok = ok and partition_of_unity_sum(nodes) == RationalExpr.one(2)
             for k in range(1, n):
                 ok = ok and power_sum_over_differences(nodes, k).is_zero
             ok = ok and power_sum_over_differences(nodes, n) == RationalExpr.one(2)
     for n in range(1, 7):
         nodes = [LinearForm.basis(i, n) for i in range(n)] if n <= 4 else [
-            LinearForm.make((Fraction(i + 1), Fraction(2 * i - 3), *([0] * (n - 2))))
+            LinearForm((Fraction(i + 1), Fraction(2 * i - 3), *([0] * (n - 2))))
             for i in range(n)
         ]
         product = matrix_product(vandermonde_inverse(nodes), vandermonde_matrix(nodes))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,17 @@ class TestIntegrateCommand:
         assert code == 0
         assert out.strip() == "1"
 
+    def test_coefficient_past_the_digit_limit(self, capsys, tmp_path):
+        # the integral is N^2, 6,000 digits: more than str(int) writes
+        n = "9" * 3000
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({f"p{i}": f"{n}*{n}*x{i}^2" for i in (1, 2, 3)}))
+        code, out, _ = run(
+            capsys, "integrate", "--graph", "complete:3", "--basis", "x", "--class-file", str(path)
+        )
+        assert code == 0
+        assert out.strip() == str(Decimal(int(n) ** 2))
+
     def test_non_cocycle_rejected(self, capsys, tmp_path):
         path = tmp_path / "cls.json"
         path.write_text(json.dumps({"p1": "x1", "p2": "0", "p3": "0"}))
@@ -485,6 +497,13 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("[FAIL] cannot read graph file ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("option", ["--p", "--q"])
+    def test_pair_with_one_base_vertex(self, capsys, option):
+        code, out, err = run(capsys, "pair", "--graph", "permutahedron:3", option, "(12)")
+        assert code == 2
+        assert out == ""
+        assert err == "[FAIL] pair takes both --p and --q, or neither\n"
 
     @pytest.mark.parametrize("text", ['{"p1": "x1",', '["x1", "x2", "x3"]'])
     def test_malformed_class_file(self, capsys, tmp_path, text):

@@ -101,7 +101,7 @@ class TestSingleStep:
         step = single_step_transfer(
             flag3_pol, level - Fraction(1, 50), level + Fraction(1, 50)
         )
-        x = LinearForm.make([0, 0, Fraction(1, 3)])  # pairs to 1 with (1,2,3)
+        x = LinearForm([0, 0, Fraction(1, 3)])  # pairs to 1 with (1,2,3)
         assert x.pair(xi) == 1
 
         def beta(eid):
@@ -121,7 +121,7 @@ class TestSingleStep:
                     numerator = numerator * (betas[up] - betas[other])
                     denominator.append(betas[down] - betas[other])
                 expected = RationalExpr.make(numerator, denominator)
-                assert step.entry(graph.reverse(down), up).equals(expected)
+                assert step.entry(graph.reverse(down), up) == expected
 
     def test_block_matches_beta_formula_complete5(self):
         # same oracle on bigger blocks: every interior vertex of the
@@ -129,7 +129,7 @@ class TestSingleStep:
         graph = complete_graph(5)
         pol = polarize(graph)
         xi = pol.xi  # (5, 4, 3, 2, 1)
-        x = LinearForm.make([Fraction(1, 5), 0, 0, 0, 0])
+        x = LinearForm([Fraction(1, 5), 0, 0, 0, 0])
         assert x.pair(xi) == 1
 
         def beta(eid):
@@ -156,7 +156,7 @@ class TestSingleStep:
                         numerator = numerator * (betas[up] - betas[other])
                         denominator.append(betas[down] - betas[other])
                     expected = RationalExpr.make(numerator, denominator)
-                    assert step.entry(graph.reverse(down), up).equals(expected)
+                    assert step.entry(graph.reverse(down), up) == expected
 
     def test_markov_on_every_step(self, flag3_pol):
         levels = chamber_levels(flag3_pol)

@@ -31,7 +31,7 @@ def random_plane_nodes(rng, n):
         if coeffs in seen or coeffs == (0, 0):
             continue
         seen.add(coeffs)
-        nodes.append(LinearForm.make(coeffs))
+        nodes.append(LinearForm(coeffs))
     # differences must be nonzero, guaranteed by distinctness of coefficient pairs
     return nodes
 
@@ -138,9 +138,7 @@ class TestLagrange:
             ]
             coefficients = lagrange_interpolate(points)
             for node, value in points:
-                assert interpolation_value(coefficients, node).equals(
-                    RationalExpr.from_polynomial(value)
-                )
+                assert interpolation_value(coefficients, node) == RationalExpr(value)
 
 
 class TestVandermonde:

@@ -96,8 +96,8 @@ class TestParseRoundTrip:
 
 class TestRootBasis:
     def test_simple_roots_map_to_generators(self):
-        a1 = LinearForm.make([-1, 1, 0]).as_polynomial()
-        a2 = LinearForm.make([0, -1, 1]).as_polynomial()
+        a1 = LinearForm([-1, 1, 0]).as_polynomial()
+        a2 = LinearForm([0, -1, 1]).as_polynomial()
         assert to_root_basis(a1).render(root_basis_names(3)) == "a1"
         assert to_root_basis(a2).render(root_basis_names(3)) == "a2"
         product = to_root_basis(a1 * a2 + a2 * a2)
@@ -114,7 +114,7 @@ class TestRootBasis:
     def test_auto_basis_picks_roots_for_flag(self):
         names, convert = basis_renderer(permutahedron(3), "auto")
         assert names == ("a1", "a2")
-        a1 = LinearForm.make([-1, 1, 0]).as_polynomial()
+        a1 = LinearForm([-1, 1, 0]).as_polynomial()
         assert convert(a1).render(names) == "a1"
 
     def test_auto_basis_on_complete_graph_and_square(self, data_dir):

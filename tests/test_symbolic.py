@@ -14,12 +14,12 @@ from gkmcalc.symbolic import (
     rho_poly,
 )
 
-X1 = LinearForm.make([1, 0])
-X2 = LinearForm.make([0, 1])
+X1 = LinearForm([1, 0])
+X2 = LinearForm([0, 1])
 
 # simple roots of sl(3) as forms in three coordinates
-A1 = LinearForm.make([-1, 1, 0])
-A2 = LinearForm.make([0, -1, 1])
+A1 = LinearForm([-1, 1, 0])
+A2 = LinearForm([0, -1, 1])
 
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
@@ -154,7 +154,7 @@ class TestRho:
         # x_i -> x_i - (xi_i/2)(x1 - x2), so both coordinates map to
         # -x1/2 + 3x2/2
         p = (X1 + X2).as_polynomial()
-        assert rho_poly(p, X1 - X2, (3, 1)) == LinearForm.make([-1, 3]).as_polynomial()
+        assert rho_poly(p, X1 - X2, (3, 1)) == LinearForm([-1, 3]).as_polynomial()
 
     def test_zero_pairing_rejected(self):
         with pytest.raises(Exception):
@@ -182,20 +182,15 @@ class TestRationalExpr:
     def test_cross_multiplied_equality(self):
         a = RationalExpr.make((X1 + X2).as_polynomial(), [X1 - X2])
         b = RationalExpr.make(
-            (X1 + X2).as_polynomial() * (X1 - X2).as_polynomial(), [(X1 - X2, 2)]
+            (X1 + X2).as_polynomial() * (X1 - X2).as_polynomial(), [X1 - X2, X1 - X2]
         )
         assert a == b  # canonical form after reduction
-        assert a.equals(b)
 
     def test_addition_with_cancellation(self):
         # 1/(x1-x2) + 1/(x2-x1) = 0
         a = RationalExpr.make(Polynomial.one(2), [X1 - X2])
         b = RationalExpr.make(Polynomial.one(2), [X2 - X1])
         assert (a + b).is_zero
-
-    def test_reduce_idempotent(self):
-        expr = RationalExpr.make((X1 + X2).as_polynomial(), [X1 - X2])
-        assert expr.reduce() == expr
 
     @given(polys2, polys2)
     @settings(max_examples=25, deadline=None)
@@ -205,7 +200,7 @@ class TestRationalExpr:
         a = RationalExpr.make(p, [d1])
         b = RationalExpr.make(q, [d2])
         cross = p * d2.as_polynomial() == q * d1.as_polynomial()
-        assert a.equals(b) == cross
+        assert (a == b) == cross
 
     @given(polys2, polys2, polys2)
     @settings(max_examples=30, deadline=None)
@@ -232,7 +227,7 @@ class TestRationalExpr:
         assert expr.to_polynomial() == quotient
 
     def test_rendering(self):
-        expr = RationalExpr.make(Polynomial.one(2), [(X1 - X2, 2)])
+        expr = RationalExpr.make(Polynomial.one(2), [X1 - X2, X1 - X2])
         assert expr.render() == "(1) / ((x1 - x2)^2)"
 
     def test_degree(self):
@@ -319,7 +314,7 @@ class TestPackedKernel:
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_reference(self, case):
         dim, a, b, coeffs, images, xi = case
-        pa, pb, form = Polynomial(dim, a), Polynomial(dim, b), LinearForm.make(coeffs)
+        pa, pb, form = Polynomial(dim, a), Polynomial(dim, b), LinearForm(coeffs)
         assert pa.terms == a
         for got, want in [
             (pa + pb, ref_add(a, b)),
@@ -342,7 +337,7 @@ class TestPackedKernel:
         else:
             assert quotient.terms == expected
         target_dim = len(images[0])
-        forms = [LinearForm.make(image) for image in images]
+        forms = [LinearForm(image) for image in images]
         assert pa.substitute(forms).terms == ref_substitute(a, images, target_dim)
         pairing = form.pair(xi)
         if pairing != 0:
@@ -533,7 +528,7 @@ class TestLinearForm:
         a_in, b_in, xi_in, factor = case
         a, b, xi = (tuple(Fraction(c) for c in v) for v in (a_in, b_in, xi_in))
         f = Fraction(factor)
-        A, B = LinearForm(a_in), LinearForm.make(b_in)
+        A, B = LinearForm(a_in), LinearForm(b_in)
         assert A.coeffs == a and B.coeffs == b
         assert all(type(c) is Fraction for c in A.coeffs)
         # equal forms built from ints, Fractions and strings compare and hash equal

@@ -93,7 +93,7 @@ def test_tracer_reads_polynomial_coefficients():
     poly = Polynomial(2, {(1, 0): Fraction(7, 12), (0, 2): Fraction(-5)})
     assert tracer._coeff_bits(poly) == 4  # 12 = 0b1100
     assert tracer._operand_terms(poly) == 2
-    assert tracer._operand_terms(LinearForm.make([0, 3])) == 1
+    assert tracer._operand_terms(LinearForm([0, 3])) == 1
     assert tracer._operand_terms(Fraction(7, 12)) == 1
 
 
