@@ -80,11 +80,18 @@ def _emit(args, text: str, structured: dict) -> None:
         print(text)
 
 
-def _names_and_convert(graph: GkmGraph, basis: str):
+def _names_and_text(graph: GkmGraph, basis: str):
+    """(names, text) for one command: text(value) is the value converted to
+    the basis and rendered, each distinct value once per command."""
     names, convert = basis_renderer(graph, basis)
     if names is None:
         names = default_names(graph.dimension)
-    return names, convert
+
+    @functools.cache
+    def text(value: Polynomial) -> str:
+        return convert(value).render(names)
+
+    return names, text
 
 
 def cmd_validate(args) -> int:
@@ -116,10 +123,8 @@ def cmd_betti(args) -> int:
 def _class_lines(
     graph: GkmGraph, pol: Polarization, values: dict[str, Polynomial], basis: str
 ) -> tuple[list[str], dict[str, str]]:
-    names, convert = _names_and_convert(graph, basis)
-    rendered = {
-        graph.label(v): convert(values[v]).render(names) for v in pol.vertices_by_level()
-    }
+    _, text = _names_and_text(graph, basis)
+    rendered = {graph.label(v): text(values[v]) for v in pol.vertices_by_level()}
     lines = [f"{label}: {value}" for label, value in rendered.items()]
     return lines, rendered
 
@@ -143,22 +148,20 @@ def cmd_thom(args) -> int:
     return 0
 
 
-def _table_column(calc: ThomCalculator, names, convert, base: str):
+def _table_column(calc: ThomCalculator, text, base: str):
     """One Thom class rendered to strings: (base label, {vertex label: value})."""
     graph = calc.graph
     cls = calc.thom_class_inductive(base)
-    return graph.label(base), {
-        graph.label(v): convert(cls.values[v]).render(names) for v in graph.vertices
-    }
+    return graph.label(base), {graph.label(v): text(cls.values[v]) for v in graph.vertices}
 
 
 def cmd_table(args) -> int:
     graph, pol = _graph_and_polarization(args)
     calc = ThomCalculator(pol)
-    names, convert = _names_and_convert(graph, args.basis)
+    _, text = _names_and_text(graph, args.basis)
     order = pol.vertices_by_level()
     labels = [graph.label(v) for v in order]
-    columns = dict(_table_column(calc, names, convert, base) for base in order)
+    columns = dict(_table_column(calc, text, base) for base in order)
     headers = ["vertex"] + [f"tau[{label}]" for label in labels]
     rows = [[row_label] + [columns[col][row_label] for col in labels] for row_label in labels]
     _emit(args, layout_table(headers, rows), {"order": labels, "columns": columns})
@@ -170,11 +173,10 @@ def cmd_pair(args) -> int:
         raise UsageError("pair takes both --p and --q, or neither")
     graph, pol = _graph_and_polarization(args)
     calc = ThomCalculator(pol)
-    names, convert = _names_and_convert(graph, args.basis)
+    _, text = _names_and_text(graph, args.basis)
     if args.p is not None:
-        value = calc.pairing(graph.vertex_by_label(args.p), graph.vertex_by_label(args.q))
-        text = convert(value).render(names)
-        _emit(args, text, {"p": args.p, "q": args.q, "integral": text})
+        value = text(calc.pairing(graph.vertex_by_label(args.p), graph.vertex_by_label(args.q)))
+        _emit(args, value, {"p": args.p, "q": args.q, "integral": value})
         return 0
     order = pol.vertices_by_level()
     labels = [graph.label(v) for v in order]
@@ -183,9 +185,9 @@ def cmd_pair(args) -> int:
     for p in order:
         row = []
         for q in order:
-            text = convert(calc.pairing(p, q)).render(names)
-            matrix[f"{graph.label(p)},{graph.label(q)}"] = text
-            row.append(text)
+            value = text(calc.pairing(p, q))
+            matrix[f"{graph.label(p)},{graph.label(q)}"] = value
+            row.append(value)
         rows.append([graph.label(p)] + row)
     headers = ["tau+ \\ tau-"] + labels
     _emit(args, layout_table(headers, rows), {"order": labels, "matrix": matrix})
@@ -195,7 +197,7 @@ def cmd_pair(args) -> int:
 def cmd_structconst(args) -> int:
     graph, pol = _graph_and_polarization(args)
     calc = ThomCalculator(pol)
-    names, convert = _names_and_convert(graph, args.basis)
+    _, text = _names_and_text(graph, args.basis)
     p = graph.vertex_by_label(args.p)
     q = graph.vertex_by_label(args.q)
     targets = [graph.vertex_by_label(args.r)] if args.r else pol.vertices_by_level()
@@ -206,13 +208,13 @@ def cmd_structconst(args) -> int:
         path_value = calc.structure_constant(p, q, r)
         expansion_value = coefficients[r]
         agree = path_value == expansion_value
-        rendered = convert(path_value).render(names)
+        rendered = text(path_value)
         label = graph.label(r)
-        marker = "" if agree else f"  [MISMATCH expansion: {convert(expansion_value).render(names)}]"
+        marker = "" if agree else f"  [MISMATCH expansion: {text(expansion_value)}]"
         lines.append(f"c[{args.p},{args.q} -> {label}] = {rendered}{marker}")
         structured[label] = {
             "paths": rendered,
-            "expansion": convert(expansion_value).render(names),
+            "expansion": text(expansion_value),
             "agree": agree,
         }
     _emit(args, "\n".join(lines), {"p": args.p, "q": args.q, "constants": structured})
@@ -228,7 +230,7 @@ def cmd_transfer(args) -> int:
     else:
         high = levels[-2] if len(levels) > 2 else levels[-1]
     matrix = compose_transfer(pol, low, high)
-    names, _ = _names_and_convert(graph, args.basis)
+    names, _ = _names_and_text(graph, args.basis)
     markov = matrix.is_markov()
     text = matrix.render(names) + f"\nmarkov column sums: {'ok' if markov else 'VIOLATED'}"
     entries = {
@@ -267,9 +269,9 @@ def cmd_integrate(args) -> int:
         _emit(args, f"[FAIL] not a cocycle: {witness}", {"ok": False, "witness": str(witness)})
         return FAILURE
     result = integrate(CohomologyClass(graph, values))
-    names, convert = _names_and_convert(graph, args.basis)
-    text = convert(result).render(names)
-    _emit(args, text, {"integral": text})
+    _, text = _names_and_text(graph, args.basis)
+    value = text(result)
+    _emit(args, value, {"integral": value})
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import FormatError
 from .graph import GkmGraph
-from .symbolic import LinearForm, Polynomial
+from .symbolic import _FIELD, LinearForm, Polynomial
 
 
 def root_basis_names(n: int) -> tuple[str, ...]:
@@ -35,12 +35,12 @@ def to_root_basis(poly: Polynomial) -> Polynomial:
     """
     n = poly.dim
     image = poly.substitute(_coordinates_in_roots(n))
-    dropped: dict = {}
-    for expo, coeff in image.terms.items():
-        if expo[0] != 0:
-            raise FormatError("polynomial is not in the span of the simple roots")
-        dropped[expo[1:]] = coeff
-    return Polynomial(n - 1, dropped)
+    # x_1 is the highest field of a packed key, so a key without it is the
+    # same int in the n - 1 root variables
+    shift = _FIELD * (n - 1)
+    if any(key >> shift for key in image._num):
+        raise FormatError("polynomial is not in the span of the simple roots")
+    return Polynomial._canonical(n - 1, image._num, image._den)
 
 
 def basis_renderer(graph: GkmGraph, basis: str):

@@ -595,13 +595,13 @@ class Polynomial:
         x_j-degree of N), so every step of the sweep down the powers of x_j
         is an exact floor division by c; only the remainder decides.
         """
-        divisor = form.as_polynomial()
-        if not divisor._num:
-            raise ValueError("division by the zero form")
         if form.dim != self.dim:
             raise DimensionError("divisor dimension mismatch")
         if not self._num:
             return self
+        divisor = form.as_polynomial()
+        if not divisor._num:
+            raise ValueError("division by the zero form")
         lead = max(divisor._num)  # the unit key of x_j
         c = divisor._num[lead]
         sign = 1 if c > 0 else -1
@@ -644,19 +644,19 @@ class Polynomial:
 
     # -- rendering ----------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         """Canonical text: graded-lex term order, rationals as p/q."""
-        if not self.terms:
+        if not self._num:
             return "0"
         if names is None:
             names = default_names(self.dim)
         pieces: list[str] = []
-        for index, (expo, coeff) in enumerate(self.sorted_terms()):
+        # int order on packed keys is lex order on exponents
+        keys = sorted(self._num, key=lambda key: (_degree(key), key), reverse=True)
+        for index, key in enumerate(keys):
+            coeff = Fraction(self._num[key], self._den)
             factors = []
-            for name, e in zip(names, expo):
+            for name, e in zip(names, _unpack(key, self.dim)):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:

@@ -394,9 +394,11 @@ class ThomCalculator:
                 chosen = sorted(
                     descending, key=lambda e: not values[graph.edges[e].target].is_zero
                 )[:nodes]
+                # rho_e is a ring homomorphism: a zero lower value maps to zero
+                lower = [(e, values[graph.edges[e].target]) for e in chosen]
                 incoming = [
-                    rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi)
-                    for e in chosen
+                    value if value.is_zero else rho_poly(value, graph.weight(e), pol.xi)
+                    for e, value in lower
                 ]
                 values[vertex] = _flip_flop(pol, vertex, chosen, incoming)
         witness = cocycle_witness(graph, values)
@@ -504,21 +506,24 @@ def _flip_flop(
     descending edges j, as the Newton form through the nodes
     ahat_j = alpha_j/alpha_j(xi), evaluated at zero.  Its divided differences
     are exact quotients by differences of nodes, so no rational expression
-    appears; an inexact one raises ReductionError naming both edges."""
+    appears; an inexact one raises ReductionError naming both edges.  A zero
+    numerator stays zero, undivided."""
     graph = pol.graph
     nodes = [graph.weight(e).scale(1 / pol.pairings[e]) for e in descending]
     table = list(values)
     # after round i, table[j] is the divided difference over nodes j-i..j
     for i in range(1, len(nodes)):
         for j in range(len(nodes) - 1, i - 1, -1):
-            quotient = (table[j] - table[j - 1]).divide_linear(nodes[j] - nodes[j - i])
-            if quotient is None:
-                raise ReductionError(
-                    f"divided difference at {graph.label(vertex)} along "
-                    f"{graph.edges[descending[j - i]].key()} and "
-                    f"{graph.edges[descending[j]].key()} is not exact"
-                )
-            table[j] = quotient
+            difference = table[j] - table[j - 1]
+            if not difference.is_zero:
+                difference = difference.divide_linear(nodes[j] - nodes[j - i])
+                if difference is None:
+                    raise ReductionError(
+                        f"divided difference at {graph.label(vertex)} along "
+                        f"{graph.edges[descending[j - i]].key()} and "
+                        f"{graph.edges[descending[j]].key()} is not exact"
+                    )
+            table[j] = difference
     value = table[-1]
     for i in range(len(nodes) - 2, -1, -1):
         value = table[i] - value * nodes[i]

@@ -130,17 +130,17 @@ class TestThomCommand:
     def test_table_worker_roundtrip(self):
         # the per-column renderer of the table command must be callable
         # standalone and deterministic
-        from gkmcalc.cli import _names_and_convert, _table_column
+        from gkmcalc.cli import _names_and_text, _table_column
         from gkmcalc.builders import build_graph
         from gkmcalc.graph import polarize
         from gkmcalc.thom import ThomCalculator
 
         graph = build_graph("permutahedron:3")
-        names, convert = _names_and_convert(graph, "auto")
+        _, text = _names_and_text(graph, "auto")
         base = graph.vertex_by_label("(12)")
 
         def column():
-            return _table_column(ThomCalculator(polarize(graph)), names, convert, base)
+            return _table_column(ThomCalculator(polarize(graph)), text, base)
 
         label, values = column()
         assert label == "(12)"
@@ -208,6 +208,22 @@ class TestTableCommand:
         first = run(capsys, "table", "--graph", "complete:4")
         second = run(capsys, "table", "--graph", "complete:4")
         assert first == second
+
+    def test_each_distinct_value_converted_once(self, capsys, monkeypatch):
+        # the S_4 table has 576 cells holding 42 distinct values
+        import gkmcalc.render
+
+        converted = []
+        to_root_basis = gkmcalc.render.to_root_basis
+        monkeypatch.setattr(
+            gkmcalc.render,
+            "to_root_basis",
+            lambda poly: converted.append(poly) or to_root_basis(poly),
+        )
+        code, out, _ = run(capsys, "table", "--graph", "permutahedron:4")
+        assert code == 0
+        assert len(out.splitlines()) == 2 + 24
+        assert len(converted) == len(set(converted)) == 42
 
 
 class TestPairCommand:

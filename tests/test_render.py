@@ -13,7 +13,7 @@ from gkmcalc.render import (
     root_basis_names,
     to_root_basis,
 )
-from gkmcalc.symbolic import LinearForm, Polynomial, default_names
+from gkmcalc.symbolic import LinearForm, Polynomial, default_names, format_rational
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 exponents3 = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -92,6 +92,80 @@ class TestParseRoundTrip:
         except (FormatError, OverflowError):
             return
         assert parse_polynomial(poly.render(names), names) == poly
+
+
+def fraction_view_to_root_basis(poly):
+    """to_root_basis through the {exponent tuple: Fraction} view: the
+    reference for the packed-key kernel."""
+    n = poly.dim
+    coordinates = [LinearForm([1] * (k + 1) + [0] * (n - 1 - k)) for k in range(n)]
+    dropped = {}
+    for expo, coeff in poly.substitute(coordinates).terms.items():
+        if expo[0] != 0:
+            raise FormatError("polynomial is not in the span of the simple roots")
+        dropped[expo[1:]] = coeff
+    return Polynomial(n - 1, dropped)
+
+
+def fraction_view_render(poly, names):
+    """Polynomial.render through the Fraction view, sorted by exponent
+    tuples: the reference for rendering from packed keys."""
+    if not poly.terms:
+        return "0"
+    pieces = []
+    terms = sorted(poly.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    for index, (expo, coeff) in enumerate(terms):
+        factors = []
+        for name, e in zip(names, expo):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        magnitude = abs(coeff)
+        if factors:
+            body = "*".join(factors)
+            if magnitude != 1:
+                body = f"{format_rational(magnitude)}*{body}"
+        else:
+            body = format_rational(magnitude)
+        if index == 0:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+@st.composite
+def polys_and_root_images(draw):
+    """A polynomial in n variables, and its image under a_i -> e_{i+1} - e_i
+    in n + 1 coordinates, which lies in the root subring."""
+    n = draw(st.integers(1, 3))
+    expo = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    poly = Polynomial(n, draw(st.dictionaries(expo, rationals, max_size=5)))
+    roots = [LinearForm([0] * i + [-1, 1] + [0] * (n - 1 - i)) for i in range(n)]
+    return poly, poly.substitute(roots)
+
+
+class TestPackedKernels:
+    @given(polys_and_root_images(), polys3)
+    @settings(max_examples=150, deadline=None)
+    def test_to_root_basis_matches_fraction_view(self, case, other):
+        poly, image = case
+        assert to_root_basis(image) == fraction_view_to_root_basis(image) == poly
+        try:
+            want = fraction_view_to_root_basis(other)
+        except FormatError:
+            with pytest.raises(FormatError):
+                to_root_basis(other)
+        else:
+            assert to_root_basis(other) == want
+
+    @given(polys_and_root_images(), polys3)
+    @settings(max_examples=150, deadline=None)
+    def test_render_matches_fraction_view(self, case, other):
+        for poly in (*case, other):
+            names = default_names(poly.dim)
+            assert poly.render(names) == fraction_view_render(poly, names)
 
 
 class TestRootBasis:

@@ -508,32 +508,32 @@ class TestThomClassInductive:
                 assert _flip_flop(pol, vertex, descending, incoming) == values[vertex]
 
     def test_rho_poly_calls_per_vertex(self, monkeypatch):
-        # each reached vertex above the base maps min(#descending,
-        # sigma_base + 1) lower values across its edges, the zero ones first
-        zero_inputs = []
+        # each reached vertex above the base maps the nonzero ones among its
+        # first sigma_base + 1 lower values, the zero ones sorted first; a
+        # zero lower value maps to zero without rho_poly
+        inputs = []
         monkeypatch.setattr(
             thom_module,
             "rho_poly",
-            lambda poly, *args: zero_inputs.append(poly.is_zero) or rho_poly(poly, *args),
+            lambda poly, *args: inputs.append(poly) or rho_poly(poly, *args),
         )
         calc = ThomCalculator(polarize(permutahedron(4)))
         graph, pol = calc.graph, calc.pol
         total = 0
         for base in pol.vertices_by_level():
-            del zero_inputs[:]
+            del inputs[:]
             values = calc.thom_class_inductive(base).values
-            calls = nonzero_calls = 0
+            calls = 0
             for vertex in calc.path_counts(base):
                 if vertex == base:
                     continue
                 lower = [values[graph.edges[e].target] for e in pol.descending_out(vertex)]
                 used = min(len(lower), pol.sigma[base] + 1)
-                calls += used
-                nonzero_calls += max(0, used - sum(value.is_zero for value in lower))
-            assert len(zero_inputs) == calls
-            assert zero_inputs.count(False) == nonzero_calls
+                calls += max(0, used - sum(value.is_zero for value in lower))
+            assert not any(poly.is_zero for poly in inputs)
+            assert len(inputs) == calls
             total += calls
-        assert total == 545  # 778 through every descending edge
+        assert total == 195  # 545 with the zero inputs, 778 through every descending edge
 
 
 class TestThomMinus:
