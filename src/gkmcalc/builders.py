@@ -96,43 +96,38 @@ def permutahedron(n: int) -> GkmGraph:
     perms = list(itertools.permutations(range(1, n + 1)))
     names = [_one_line_name(p) for p in perms]
     transpositions = list(itertools.combinations(range(n), 2))
-
-    def weight(perm: tuple[int, ...], i: int, j: int) -> LinearForm:
-        coeffs = [0] * n
-        if perm[j] > perm[i]:
-            coeffs[j], coeffs[i] = 1, -1
-        else:
-            coeffs[i], coeffs[j] = 1, -1
-        return LinearForm(coeffs)
-
+    # e_j - e_i, the weight of pi -> pi*t_ij when pi(i) < pi(j)
+    weights = {
+        (i, j): LinearForm._canonical(tuple((k == j) - (k == i) for k in range(n)), 1)
+        for i, j in transpositions
+    }
     name_of = dict(zip(perms, names))
     undirected = []
+    moves = []  # the transposition t of each undirected edge pi -- pi*t
     for perm in perms:
         for i, j in transpositions:
-            other = _swap(perm, i, j)
-            if perm < other:
-                undirected.append((name_of[perm], name_of[other], weight(perm, i, j)))
+            if perm[i] < perm[j]:  # perm < perm*t_ij
+                undirected.append((name_of[perm], name_of[_swap(perm, i, j)], weights[i, j]))
+                moves.append((i, j))
     labels = dict(FLAG3_LABELS) if n == 3 else None
     graph = GkmGraph.from_undirected(
         n, names, undirected, labels=labels, default_xi=rat_vector(range(1, n + 1))
     )
 
-    perm_of = dict(zip(names, perms))
-    # the transposition t of each edge pi -> pi*t: where the names differ
-    positions = [
-        [k for k in range(n) if edge.source[k] != edge.target[k]] for edge in graph.edges
-    ]
+    # oriented edges 2k and 2k + 1 both move by moves[k]
+    edge_of = {(edge.source, moves[edge.eid // 2]): edge.eid for edge in graph.edges}
+    # t*u*t for transpositions t, u: u with its positions moved by t
+    conjugate = {}
+    for t in transpositions:
+        moved = dict(zip(t, reversed(t)))
+        for u in transpositions:
+            conjugate[t, u] = tuple(sorted(moved.get(k, k) for k in u))
     connection = {}
     for edge in graph.edges:
-        pi = perm_of[edge.source]
-        tau = positions[edge.eid]
+        t = moves[edge.eid // 2]
+        # pi*t'*t = (pi*t)*(t*t'*t); t' = t gives the reversal
         for other in graph.out_edges(edge.source):
-            # t' = t gives pi*t*t = pi, the reversal
-            image_target = _swap(_swap(pi, *positions[other]), *tau)
-            image = graph.edge_between(edge.target, name_of[image_target])
-            if image is None:
-                raise GraphError("permutahedron connection image missing")
-            connection[(edge.eid, other)] = image
+            connection[(edge.eid, other)] = edge_of[edge.target, conjugate[t, moves[other // 2]]]
     graph.connection.update(connection)
     return graph
 

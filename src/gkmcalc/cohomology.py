@@ -126,16 +126,18 @@ class CocycleWitness:
 def cocycle_witness(
     graph: GkmGraph, values: Mapping[str, Polynomial]
 ) -> Optional[CocycleWitness]:
-    """First edge violating divisibility, or None when the map is a cocycle."""
+    """First edge violating divisibility, or None when the map is a cocycle.
+    Equal endpoint values pass without a subtraction."""
     missing = set(graph.vertices) - set(values)
     if missing:
         raise CocycleError(f"values missing for vertices {sorted(missing)}")
     for edge in graph.edges:
         if edge.eid % 2 == 1:
             continue
-        difference = values[edge.source] - values[edge.target]
-        if difference.is_zero:
+        source, target = values[edge.source], values[edge.target]
+        if source == target:
             continue
+        difference = source - target
         if difference.divide_linear(edge.weight) is None:
             return CocycleWitness(edge.key(), edge.weight, difference)
     return None

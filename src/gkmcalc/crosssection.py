@@ -268,10 +268,11 @@ def transport_with_interpolants(
         raise GraphError("class does not live on the source cross-section")
     values = dict(F.values)
     interpolants: dict[str, Polynomial] = {}
+    calc = ThomCalculator(polarization)
     for vertex in crossed:
         descending = polarization.descending_out(vertex)
         incoming = [values.pop(graph.reverse(e)) for e in descending]
-        psi = _flip_flop(polarization, vertex, descending, incoming)
+        psi = _flip_flop(calc, vertex, descending, incoming)
         for down, value in zip(descending, incoming):
             if rho_poly(psi, graph.weight(down), xi) != value:
                 raise InternalConsistencyError(

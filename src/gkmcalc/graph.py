@@ -17,13 +17,14 @@ along ascending edges; longest_path_morse builds all of it at once.
 from __future__ import annotations
 
 import itertools
+import operator
 import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import GraphError, PolarizationError
-from .symbolic import LinearForm, RationalLike, format_rational, rat, rat_vector, rho_form
+from .errors import DimensionError, GraphError, PolarizationError
+from .symbolic import LinearForm, RationalLike, _int_vector, format_rational, rat, rat_vector, rho_form
 
 
 @dataclass(frozen=True)
@@ -358,20 +359,29 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
         raise PolarizationError(
             f"xi has length {len(vector)}, graph dimension is {graph.dimension}"
         )
+    # each pairing is an int dot product over the forms' and xi's denominators
+    direction, scale = _int_vector(vector)
+    signs: dict[int, int] = {}
     pairings: dict[int, Fraction] = {}
     for edge in graph.edges:
-        value = edge.weight.pair(vector)
+        weight = edge.weight
+        if weight.dim != len(direction):
+            raise DimensionError(
+                f"form of dimension {weight.dim} paired with vector of length {len(direction)}"
+            )
+        value = sum(map(operator.mul, weight._num, direction))
         if value == 0:
             raise PolarizationError(
                 f"not a polarization: weight of {edge.key()} pairs to zero with "
                 f"xi=({', '.join(map(format_rational, vector))})"
             )
-        pairings[edge.eid] = value
+        signs[edge.eid] = value
+        pairings[edge.eid] = Fraction(value, weight._den * scale)
     ascending: dict[str, tuple[int, ...]] = {}
     descending: dict[str, tuple[int, ...]] = {}
     for v in graph.vertices:
-        ascending[v] = tuple(e for e in graph.out_edges(v) if pairings[e] > 0)
-        descending[v] = tuple(e for e in graph.out_edges(v) if pairings[e] < 0)
+        ascending[v] = tuple(e for e in graph.out_edges(v) if signs[e] > 0)
+        descending[v] = tuple(e for e in graph.out_edges(v) if signs[e] < 0)
     sigma = {v: len(descending[v]) for v in graph.vertices}
     longest = _longest_ascending_paths(graph, ascending, descending)
 

@@ -800,7 +800,7 @@ class RationalExpr:
     @staticmethod
     def of_forms(top: Iterable[LinearForm], bottom: Iterable[LinearForm], dim: int) -> "RationalExpr":
         """prod(top) / prod(bottom), cancelled by matching monic forms with no
-        trial division."""
+        trial division; the kept forms' term dicts multiply directly."""
         collected: dict[LinearForm, int] = {}
         up = down = 1  # the scalar the forms carry, up/down
         for form in bottom:
@@ -808,7 +808,7 @@ class RationalExpr:
             collected[monic] = collected.get(monic, 0) + 1
             up *= s.denominator
             down *= s.numerator
-        kept = []
+        terms, guard = {0: 1}, _guard(dim)
         for form in top:
             if form.is_zero:
                 return RationalExpr.zero(dim)
@@ -818,9 +818,14 @@ class RationalExpr:
             if collected.get(monic):
                 collected[monic] -= 1
             else:
-                kept.append(monic)
-        num = Polynomial.product_of_forms(kept, dim) * Fraction(up, down)
-        return RationalExpr._reduced(num, collected, ())
+                image = monic.as_polynomial()
+                terms = _mul_terms(terms, image._num, guard)
+                down *= image._den
+        if down < 0:
+            up, down = -up, -down
+        if up != 1:
+            terms = {key: value * up for key, value in terms.items()}
+        return RationalExpr._reduced(Polynomial._canonical(dim, terms, down), collected, ())
 
     @staticmethod
     def _reduced(
@@ -836,6 +841,8 @@ class RationalExpr:
         # the monic-coefficient order, compared on numerators over one
         # common denominator
         kept = [(form, mult) for form, mult in collected.items() if mult]
+        if len(kept) < 2:
+            return RationalExpr(num, tuple(kept))
         common = math.lcm(*(form._den for form, _ in kept))
         den = tuple(sorted(kept, key=lambda kv: [c * (common // kv[0]._den) for c in kv[0]._num]))
         return RationalExpr(num, den)
@@ -865,9 +872,6 @@ class RationalExpr:
             raise ReductionError(f"does not reduce to a polynomial: {self.render()}")
         return self.num
 
-    def den_dict(self) -> dict[LinearForm, int]:
-        return dict(self.den)
-
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other) -> "RationalExpr":
@@ -889,22 +893,35 @@ class RationalExpr:
             return rhs
         if rhs.is_zero:
             return self
-        left_den = self.den_dict()
-        right_den = rhs.den_dict()
+        if rhs.dim != self.dim:
+            raise DimensionError(f"rational expressions of dimension {self.dim} and {rhs.dim}")
+        if self.den == rhs.den:
+            collected = dict(self.den)
+            return RationalExpr._reduced(self.num._combine(rhs.num, 1), collected, list(collected))
+        left_den, right_den = dict(self.den), dict(rhs.den)
         common: dict[LinearForm, int] = dict(left_den)
         for form, mult in right_den.items():
             common[form] = max(common.get(form, 0), mult)
-        left_num = self.num
-        right_num = rhs.num
-        for form, mult in common.items():
-            missing = mult - left_den.get(form, 0)
-            if missing:
-                left_num = left_num * Polynomial.product_of_forms([form] * missing, self.dim)
-            missing = mult - right_den.get(form, 0)
-            if missing:
-                right_num = right_num * Polynomial.product_of_forms([form] * missing, self.dim)
+        # each numerator times the forms its denominator lacks, as int terms
+        # over an int denominator
+        guard = _guard(self.dim)
+        lifted = []
+        for expr, own in ((self, left_den), (rhs, right_den)):
+            terms, den = expr.num._num, expr.num._den
+            for form, mult in common.items():
+                missing = mult - own.get(form, 0)
+                if missing:
+                    image = form.as_polynomial()
+                    for _ in range(missing):
+                        terms = _mul_terms(terms, image._num, guard)
+                        den *= image._den
+            lifted.append((terms, den))
+        (left, left_scale), (right, right_scale) = lifted
+        den = math.lcm(left_scale, right_scale)
+        terms = {key: value * (den // left_scale) for key, value in left.items()}
+        _add_into(terms, right, den // right_scale)
         trial = [form for form, mult in left_den.items() if right_den.get(form) == mult]
-        return RationalExpr._reduced(left_num + right_num, common, trial)
+        return RationalExpr._reduced(Polynomial._canonical(self.dim, terms, den), common, trial)
 
     __radd__ = __add__
 
@@ -926,10 +943,16 @@ class RationalExpr:
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
+        if rhs.dim != self.dim:
+            raise DimensionError(f"rational expressions of dimension {self.dim} and {rhs.dim}")
         left_num, right_num = self.num, rhs.num
-        if left_num.is_zero or right_num.is_zero:
-            return RationalExpr(left_num * right_num, ())
-        left_den, right_den = self.den_dict(), rhs.den_dict()
+        if left_num.is_zero:
+            return RationalExpr(left_num)
+        if right_num.is_zero:
+            return RationalExpr(right_num)
+        if not self.den and not rhs.den:
+            return RationalExpr(left_num * right_num)
+        left_den, right_den = dict(self.den), dict(rhs.den)
         collected = dict(left_den)
         for form, mult in right_den.items():
             if form in left_den:
@@ -951,7 +974,7 @@ class RationalExpr:
 
     def div_form(self, form: LinearForm) -> "RationalExpr":
         monic, s = _monic(form)
-        collected = self.den_dict()
+        collected = dict(self.den)
         trial = () if monic in collected else (monic,)
         collected[monic] = collected.get(monic, 0) + 1
         return RationalExpr._reduced(self.num * (1 / s), collected, trial)

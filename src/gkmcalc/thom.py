@@ -266,8 +266,14 @@ class ThomCalculator:
             (self._rho_seed, self.q_pair, self.q_edge),
         )
 
+    @_memoized
     def _hat(self, eid: int) -> LinearForm:
+        """The node ahat_e = alpha_e/alpha_e(xi)."""
         return self.graph.weight(eid).scale(1 / self.pol.pairings[eid])
+
+    @_memoized
+    def _gap(self, first: int, second: int) -> LinearForm:
+        return self._hat(first) - self._hat(second)
 
     @_memoized
     def _minus_iota(self, eid: int) -> RationalExpr:
@@ -276,7 +282,7 @@ class ThomCalculator:
 
     @_memoized
     def _iota_step(self, first: int, second: int) -> RationalExpr:
-        return self._minus_iota(second).div_form(self._hat(first) - self._hat(second))
+        return self._minus_iota(second).div_form(self._gap(first, second))
 
     @_memoized
     def _iota_close(self, eid: int) -> RationalExpr:
@@ -284,6 +290,7 @@ class ThomCalculator:
             self.nu_factors(self.graph.edges[eid].target), [self._hat(eid)], self.graph.dimension
         )
 
+    @_memoized
     def _rho_seed(self, eid: int) -> RationalExpr:
         edge = self.graph.edges[eid]
         return self._rho_ratio(edge.weight, self.pol.descending_out(edge.source), ())
@@ -400,7 +407,7 @@ class ThomCalculator:
                     value if value.is_zero else rho_poly(value, graph.weight(e), pol.xi)
                     for e, value in lower
                 ]
-                values[vertex] = _flip_flop(pol, vertex, chosen, incoming)
+                values[vertex] = _flip_flop(self, vertex, chosen, incoming)
         witness = cocycle_witness(graph, values)
         if witness is not None:
             raise InternalConsistencyError(
@@ -500,23 +507,24 @@ def _carry(
 
 
 def _flip_flop(
-    pol: Polarization, vertex: str, descending: Sequence[int], values: Sequence[Polynomial]
+    calc: ThomCalculator, vertex: str, descending: Sequence[int], values: Sequence[Polynomial]
 ) -> Polynomial:
     """The flip-flop psi at a vertex: rho_j(psi) = values[j] on the given
     descending edges j, as the Newton form through the nodes
     ahat_j = alpha_j/alpha_j(xi), evaluated at zero.  Its divided differences
     are exact quotients by differences of nodes, so no rational expression
     appears; an inexact one raises ReductionError naming both edges.  A zero
-    numerator stays zero, undivided."""
-    graph = pol.graph
-    nodes = [graph.weight(e).scale(1 / pol.pairings[e]) for e in descending]
+    numerator stays zero, undivided.  The nodes and their differences come
+    from the calculator, once per edge and pair of edges."""
+    graph = calc.graph
+    nodes = [calc._hat(e) for e in descending]
     table = list(values)
     # after round i, table[j] is the divided difference over nodes j-i..j
     for i in range(1, len(nodes)):
         for j in range(len(nodes) - 1, i - 1, -1):
             difference = table[j] - table[j - 1]
             if not difference.is_zero:
-                difference = difference.divide_linear(nodes[j] - nodes[j - i])
+                difference = difference.divide_linear(calc._gap(descending[j], descending[j - i]))
                 if difference is None:
                     raise ReductionError(
                         f"divided difference at {graph.label(vertex)} along "

@@ -89,9 +89,12 @@ class TestPermutahedron:
         pol = polarize(graph)
         assert pol.self_indexing
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_connection_composes_transpositions(self, n):
-        # one-line permutations composed as functions: (p*q)(k) = p(q(k))
+        # one-line permutations composed as functions: (p*q)(k) = p(q(k));
+        # the edge pi -> pi*t_ij carries e_j - e_i when pi(j) > pi(i), and
+        # the connection along pi -> pi*t maps pi -> pi*t' to
+        # pi*t -> pi*t'*t
         def perm(name):
             return tuple(int(c) for c in name)
 
@@ -102,9 +105,14 @@ class TestPermutahedron:
             return tuple(sorted(range(1, len(p) + 1), key=lambda k: p[k - 1]))
 
         graph = permutahedron(n)
+        assert len(graph.connection) == len(graph.edges) * (n * (n - 1) // 2)
         for edge in graph.edges:
             pi = perm(edge.source)
             t = compose(inverse(pi), perm(edge.target))
+            i, j = (k for k in range(n) if t[k] != k + 1)
+            coeffs = [0] * n
+            coeffs[j], coeffs[i] = (1, -1) if pi[j] > pi[i] else (-1, 1)
+            assert edge.weight == LinearForm(coeffs)
             for other in graph.out_edges(edge.source):
                 t_prime = compose(inverse(pi), perm(graph.edges[other].target))
                 image = graph.edges[graph.theta(edge.eid, other)]

@@ -225,6 +225,20 @@ class TestTableCommand:
         assert len(out.splitlines()) == 2 + 24
         assert len(converted) == len(set(converted)) == 42
 
+    def test_each_interpolation_node_scaled_once(self, capsys, monkeypatch):
+        # one node ahat_e = alpha_e/alpha_e(xi) per descending edge: the 72
+        # edges of S_4, whichever classes and vertices share it
+        from gkmcalc.symbolic import LinearForm
+
+        scaled = []
+        scale = LinearForm.scale
+        monkeypatch.setattr(
+            LinearForm, "scale", lambda form, factor: scaled.append(form) or scale(form, factor)
+        )
+        code, _, _ = run(capsys, "table", "--graph", "permutahedron:4")
+        assert code == 0
+        assert len(scaled) <= 72
+
 
 class TestPairCommand:
     def test_single_entry(self, capsys):

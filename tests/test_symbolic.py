@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gkmcalc.errors import DimensionError, PolarizationError, ReductionError
@@ -480,6 +480,84 @@ class TestRationalExprReduction:
         assert RationalExpr.of_forms([X1, zero], [X2], 2).is_zero
         with pytest.raises(ZeroDivisionError):
             RationalExpr.of_forms([X1], [X2, zero], 2)
+
+
+# -- RationalExpr kernels against make, which trial-divides by every factor
+
+
+def expand(den):
+    return [form for form, mult in den for _ in range(mult)]
+
+
+def assert_canonical(expr):
+    # monic factors, sorted by their coefficients, none dividing the numerator
+    forms = [form for form, _ in expr.den]
+    assert all(mult > 0 for _, mult in expr.den)
+    assert all(next(c for c in form.coeffs if c) == 1 for form in forms)
+    assert [form.coeffs for form in forms] == sorted({form.coeffs for form in forms})
+    if expr.is_zero:
+        assert expr.den == ()
+    assert all(expr.num.divide_linear(form) is None for form in forms)
+
+
+@st.composite
+def kernel_cases(draw):
+    # forms are multiples of a few forms in 3 variables, so that factors
+    # repeat, cancel and divide the numerators
+    base = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+    pool = draw(st.lists(base, min_size=1, max_size=3))
+    form = st.tuples(st.sampled_from(pool), st.sampled_from([1, -1, 2, Fraction(-1, 2), 3])).map(
+        lambda pair: LinearForm([Fraction(c) * pair[1] for c in pair[0]])
+    )
+    forms = st.lists(form, max_size=3)
+    exponent = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
+    # nonzero: zero operands are a kind of their own
+    nonzero = rationals.filter(bool)
+    cofactor = st.dictionaries(exponent, nonzero, min_size=1, max_size=3).map(lambda d: Polynomial(3, d))
+
+    def poly():
+        return draw(cofactor) * Polynomial.product_of_forms(draw(forms), 3)
+
+    kinds = ["general", "cancelling", "equal", "zero", "polynomial", "polynomials"]
+    kind = draw(st.sampled_from(kinds))
+    a = RationalExpr(poly()) if kind == "polynomials" else RationalExpr.make(poly(), draw(forms))
+    if kind == "cancelling":
+        # b has the factors of a and a form proportional to none in the pool,
+        # so a + b lifts a and must cancel the factors of a
+        b = RationalExpr.make(poly(), draw(forms)).div_form(LinearForm([1, 3, 9])) - a
+    elif kind == "equal":  # over a's denominator, and a + b has a's factors in its numerator
+        factors = expand(a.den)
+        kept = draw(st.lists(st.sampled_from(factors), max_size=2)) if factors else []
+        b = RationalExpr.make(poly() * Polynomial.product_of_forms(kept, 3) - a.num, factors)
+    elif kind == "zero":
+        b = RationalExpr.zero(3)
+    elif kind in ("polynomial", "polynomials"):
+        b = RationalExpr(poly())
+    else:
+        b = RationalExpr.make(poly(), draw(forms))
+    if draw(st.booleans()):
+        a, b = b, a
+    return kind, draw(forms), draw(forms), a, b
+
+
+class TestRationalExprKernels:
+    @given(kernel_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_make(self, case):
+        kind, top, bottom, a, b = case
+        if kind == "equal":
+            assume(a.den == b.den)
+        quotient = RationalExpr.of_forms(top, bottom, 3)
+        assert quotient == RationalExpr.make(Polynomial.product_of_forms(top, 3), bottom)
+        left, right = expand(a.den), expand(b.den)
+        cross = a.num * Polynomial.product_of_forms(right, 3) + b.num * Polynomial.product_of_forms(left, 3)
+        total, product = a + b, a * b
+        assert total == RationalExpr.make(cross, left + right)
+        assert product == RationalExpr.make(a.num * b.num, left + right)
+        if b.is_polynomial:
+            assert a + b.num == total and a * b.num == product
+        for value in (a, b, quotient, total, product):
+            assert_canonical(value)
 
 
 # -- linear forms against a plain Fraction-tuple reference

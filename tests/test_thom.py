@@ -505,7 +505,7 @@ class TestThomClassInductive:
                     rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi)
                     for e in descending
                 ]
-                assert _flip_flop(pol, vertex, descending, incoming) == values[vertex]
+                assert _flip_flop(calc, vertex, descending, incoming) == values[vertex]
 
     def test_rho_poly_calls_per_vertex(self, monkeypatch):
         # each reached vertex above the base maps the nonzero ones among its

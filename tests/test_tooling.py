@@ -4,7 +4,9 @@
 a name that no longer resolves would only fail when a traced run starts,
 and one traced pass of the ``xi-check`` workload runs the wrappers.
 ``scripts/flag_products.py`` imports the package directly, so a rename in
-``src/`` would only show when someone runs it.  ``perfbench/reference.json``
+``src/`` would only show when someone runs it.  A failing Hypothesis test
+must report its falsifying example under the ``pyproject.toml`` warning
+filters.  ``perfbench/reference.json``
 holds the expected output of every benchmark command, at the builders'
 default xi; every command is checked here against it, byte for byte.  The tracer's counters read
 ``Polynomial.terms``, so the view it gives is checked here too.  Three
@@ -112,6 +114,36 @@ def test_flag_products_script_runs():
     assert result.returncode == 0, result.stderr
     products = re.findall(r"^tau\[[^\]]+\] \* tau\[[^\]]+\] = ", result.stdout, re.M)
     assert len(products) == 36
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@given(st.integers())
+@settings(database=None, deadline=None)
+def test_fails(n):
+    assert n < 3
+"""
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # the repository's warning filters stay in force; a warning raised in
+    # Hypothesis's report hook must not turn the failure into INTERNALERROR
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+            "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_property.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
 
 
 @pytest.mark.parametrize("command", sorted(json.loads(REFERENCE.read_text())))
