@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import FormatError, GraphError
-from .graph import GkmGraph, OrientedEdge, validate, validate_axial
+from .graph import GkmGraph, OrientedEdge, _validate_connection, validate_axial
 from .symbolic import LinearForm, RationalLike, format_rational, rat_vector
 
 
@@ -265,9 +265,10 @@ def graph_from_document(document: dict) -> GkmGraph:
     else:
         graph.connection.update(derive_connection(graph))
 
-    report = validate(graph)
-    if not report.ok:
-        raise FormatError("graph fails validation:\n" + str(report))
+    # the axial part of validate has passed above
+    _validate_connection(graph, axial)
+    if not axial.ok:
+        raise FormatError("graph fails validation:\n" + str(axial))
     return graph
 
 

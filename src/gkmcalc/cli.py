@@ -200,7 +200,7 @@ def cmd_structconst(args) -> int:
     _, text = _names_and_text(graph, args.basis)
     p = graph.vertex_by_label(args.p)
     q = graph.vertex_by_label(args.q)
-    targets = [graph.vertex_by_label(args.r)] if args.r else pol.vertices_by_level()
+    targets = [graph.vertex_by_label(args.r)] if args.r is not None else pol.vertices_by_level()
     coefficients = calc.multiplication_constants(p, q)
     lines = []
     structured = {}
@@ -224,8 +224,8 @@ def cmd_structconst(args) -> int:
 def cmd_transfer(args) -> int:
     graph, pol = _graph_and_polarization(args)
     levels = chamber_levels(pol)
-    low = _parse_level(args.from_level, "--from-level") if args.from_level else levels[1]
-    if args.to_level:
+    low = _parse_level(args.from_level, "--from-level") if args.from_level is not None else levels[1]
+    if args.to_level is not None:
         high = _parse_level(args.to_level, "--to-level")
     else:
         high = levels[-2] if len(levels) > 2 else levels[-1]

@@ -205,10 +205,10 @@ class LinearForm:
         "Monic" means the first nonzero coefficient is 1; used to key
         denominator multisets so that scalar multiples merge.
         """
-        for c in self._num:
-            if c:
-                return LinearForm._canonical(self._num, c), Fraction(c, self._den)
-        raise ValueError("cannot normalize the zero form")
+        if self.is_zero:
+            raise ValueError("cannot normalize the zero form")
+        monic, lead, den = _monic(self)
+        return monic, Fraction(lead, den)
 
     def as_polynomial(self) -> "Polynomial":
         if self._poly is None:
@@ -402,10 +402,7 @@ class Polynomial:
 
     @staticmethod
     def product_of_forms(forms: Iterable[LinearForm], dim: int) -> "Polynomial":
-        result = Polynomial.one(dim)
-        for form in forms:
-            result = result * form
-        return result
+        return RationalExpr.of_forms(forms, (), dim).num
 
     # -- predicates ----------------------------------------------------
 
@@ -480,15 +477,15 @@ class Polynomial:
         return Polynomial._canonical(self.dim, {k: -v for k, v in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "Polynomial":
+        if isinstance(other, (Polynomial, LinearForm)):
+            rhs = self._coerce(other)
+            num = _mul_terms(self._num, rhs._num, _guard(self.dim))
+            return Polynomial._canonical(self.dim, num, self._den * rhs._den)
         if isinstance(other, (int, Fraction)):
             c = rat(other)
             num = {k: v * c.numerator for k, v in self._num.items()} if c else {}
             return Polynomial._canonical(self.dim, num, self._den * c.denominator)
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
-        num = _mul_terms(self._num, rhs._num, _guard(self.dim))
-        return Polynomial._canonical(self.dim, num, self._den * rhs._den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -506,10 +503,10 @@ class Polynomial:
         return result
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.dim)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Polynomial.constant(other, self.dim)
         return self.dim == other.dim and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
@@ -761,18 +758,17 @@ class RationalExpr:
     (Henrici, JACM 1956; Knuth, TAOCP 2, 4.5.1), which the invariant and
     primality decide:
 
-    * `make` tries every factor: its numerator is arbitrary.
+    * `of_forms`, a quotient of two products of linear forms, divides
+      nothing: a linear form divides such a product only when it is
+      proportional to one of its factors, so equal monic forms cancel.
     * `*` never tries a factor of both operands, since it divides neither
       numerator; a factor of one operand only is divided out of the other
       operand's numerator, and the product is not trial-divided.
     * `+` tries only the factors of equal multiplicity in both terms: over
       the common denominator a factor of unequal multiplicity divides one
       numerator but not the other, so not their sum.
-    * `div_form` tries only the new form, and not even that when it is
-      already a factor.
-    * `of_forms`, a quotient of two products of linear forms, divides
-      nothing: a linear form divides such a product only when it is
-      proportional to one of its factors, so equal monic forms cancel.
+
+    `make` and `div_form` are products with an `of_forms` quotient.
     """
 
     __slots__ = ("num", "den")
@@ -785,17 +781,7 @@ class RationalExpr:
     def make(num: Polynomial, factors: Iterable[LinearForm] = ()) -> "RationalExpr":
         """num / prod(factors), canonicalized; `factors` may repeat and need
         not be monic."""
-        collected: dict[LinearForm, int] = {}
-        top = bottom = 1  # the scalar the factors carry, top/bottom
-        for form in factors:
-            monic, s = _monic(form)
-            collected[monic] = collected.get(monic, 0) + 1
-            top *= s.numerator
-            bottom *= s.denominator
-        if num.is_zero:
-            return RationalExpr(num, ())
-        num = num * Fraction(bottom, top)
-        return RationalExpr._reduced(num, collected, list(collected))
+        return RationalExpr(num) * RationalExpr.of_forms((), factors, num.dim)
 
     @staticmethod
     def of_forms(top: Iterable[LinearForm], bottom: Iterable[LinearForm], dim: int) -> "RationalExpr":
@@ -804,17 +790,17 @@ class RationalExpr:
         collected: dict[LinearForm, int] = {}
         up = down = 1  # the scalar the forms carry, up/down
         for form in bottom:
-            monic, s = _monic(form)
+            monic, lead, den = _monic(form)
             collected[monic] = collected.get(monic, 0) + 1
-            up *= s.denominator
-            down *= s.numerator
+            up *= den
+            down *= lead
         terms, guard = {0: 1}, _guard(dim)
         for form in top:
             if form.is_zero:
                 return RationalExpr.zero(dim)
-            monic, s = form.normalized()
-            up *= s.numerator
-            down *= s.denominator
+            monic, lead, den = _monic(form)
+            up *= lead
+            down *= den
             if collected.get(monic):
                 collected[monic] -= 1
             else:
@@ -935,7 +921,7 @@ class RationalExpr:
         return RationalExpr(-self.num, self.den)
 
     def __mul__(self, other) -> "RationalExpr":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RationalExpr) and isinstance(other, (int, Fraction)):
             c = rat(other)
             if c == 0:
                 return RationalExpr.zero(self.dim)
@@ -973,11 +959,7 @@ class RationalExpr:
         return RationalExpr(self.num * (1 / c), self.den)
 
     def div_form(self, form: LinearForm) -> "RationalExpr":
-        monic, s = _monic(form)
-        collected = dict(self.den)
-        trial = () if monic in collected else (monic,)
-        collected[monic] = collected.get(monic, 0) + 1
-        return RationalExpr._reduced(self.num * (1 / s), collected, trial)
+        return self * RationalExpr.of_forms((), (form,), self.dim)
 
     # -- comparison -----------------------------------------------------
 
@@ -1016,11 +998,13 @@ class RationalExpr:
         return f"RationalExpr({self.render()})"
 
 
-def _monic(form: LinearForm) -> tuple[LinearForm, Fraction]:
-    """(monic form, scale) of a denominator factor."""
-    if form.is_zero:
-        raise ZeroDivisionError("zero linear form in denominator")
-    return form.normalized()
+def _monic(form: LinearForm) -> tuple[LinearForm, int, int]:
+    """(monic, lead, den) with form == (lead/den) * monic for ints lead and
+    den, lead the form's first nonzero numerator."""
+    for lead in form._num:
+        if lead:
+            return LinearForm._canonical(form._num, lead), lead, form._den
+    raise ZeroDivisionError("zero linear form in denominator")
 
 
 def _divide_out(num: Polynomial, form: LinearForm, mult: int) -> tuple[Polynomial, int]:

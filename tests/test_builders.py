@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gkmcalc import builders as builders_module
+from gkmcalc import graph as graph_module
 from gkmcalc.builders import (
     _count_perfect_matchings,
     build_graph,
@@ -180,6 +182,19 @@ class TestFileFormat:
         assert graph.dimension == 2
         pol = polarize(graph)
         assert pol.self_indexing
+
+    def test_axial_axioms_checked_once_per_load(self, data_dir, monkeypatch):
+        calls = []
+        validate_axial = graph_module.validate_axial
+
+        def counted(graph):
+            calls.append(graph)
+            return validate_axial(graph)
+
+        monkeypatch.setattr(builders_module, "validate_axial", counted)
+        monkeypatch.setattr(graph_module, "validate_axial", counted)
+        load_graph(data_dir / "square_diagonal.graph")
+        assert len(calls) == 1
 
 
 @functools.lru_cache(maxsize=1)

@@ -400,6 +400,14 @@ class TestUsageErrors:
         assert code == 1
         assert "unknown vertex" in err + out
 
+    def test_empty_target_vertex(self, capsys):
+        code, out, err = run(
+            capsys, "structconst", "--graph", "permutahedron:3", "--p", "123", "--q", "123", "--r", ""
+        )
+        assert code == 1
+        assert out == ""
+        assert "unknown vertex ''" in err
+
     def test_critical_transfer_level(self, capsys):
         # phi of the identity vertex of the flag variety is 0
         code, out, err = run(
@@ -422,6 +430,8 @@ class TestUsageErrors:
             ("--to-level", "abc"),
             ("--from-level", "1/0"),
             ("--to-level", "1/0"),
+            ("--from-level", ""),
+            ("--to-level", ""),
         ],
     )
     def test_malformed_transfer_level(self, capsys, option, value):

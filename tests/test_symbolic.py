@@ -453,6 +453,7 @@ class TestRationalExprReduction:
         a_forms, b_forms = ref_expand(a_den), ref_expand(b_den)
         left, right = ref_times_forms(a_terms, b_forms), ref_times_forms(b_terms, a_forms)
         top_terms = ref_times_forms({(0, 0, 0): Fraction(1)}, top)
+        top_forms = [LinearForm(coeffs) for coeffs in top]
         lift = [LinearForm(coeffs) for coeffs in bottom]
         for got, want in [
             (x + y, ref_reduce(ref_add(left, right), a_forms + b_forms)),
@@ -460,10 +461,8 @@ class TestRationalExprReduction:
             ((x + y) - y, a),  # the factors of y alone cancel in the second sum
             (x * y, ref_reduce(ref_mul(a_terms, b_terms), a_forms + b_forms)),
             (x.div_form(LinearForm(form)), ref_reduce(a_terms, a_forms + [form])),
-            (
-                RationalExpr.of_forms([LinearForm(coeffs) for coeffs in top], lift, 3),
-                ref_reduce(top_terms, bottom),
-            ),
+            (RationalExpr.of_forms(top_forms, lift, 3), ref_reduce(top_terms, bottom)),
+            (RationalExpr(Polynomial.product_of_forms(top_forms, 3)), (top_terms, ())),
             (RationalExpr.make(Polynomial(3, top_terms), lift), ref_reduce(top_terms, bottom)),
         ]:
             assert as_reference(got) == want

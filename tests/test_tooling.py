@@ -11,7 +11,8 @@ holds the expected output of every benchmark command, at the builders'
 default xi; every command is checked here against it, byte for byte.  The tracer's counters read
 ``Polynomial.terms``, so the view it gives is checked here too.  Three
 commands dominated by rational-expression arithmetic that the reference
-does not cover are checked against the sha256 of their output.
+does not cover are checked against the sha256 of their output.  Every
+``gkmcalc`` line of the README's CLI block must run and exit 0.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -35,6 +37,7 @@ from gkmcalc.symbolic import LinearForm, Polynomial
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 REFERENCE = ROOT / "perfbench" / "reference.json"
+README = ROOT / "README.md"
 
 
 def load_tracer():
@@ -193,3 +196,24 @@ def test_rational_command_output_unchanged(command):
     with contextlib.redirect_stdout(out):
         assert main(command.split()) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == RATIONAL_OUTPUTS[command]
+
+
+def readme_cli_lines():
+    # the fenced block under the README's "## CLI" heading
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("gkmcalc ")]
+    assert lines, "no gkmcalc lines in the README's CLI block"
+    return lines
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_runs(line, tmp_path):
+    class_file = tmp_path / "cls.json"
+    class_file.write_text(json.dumps({"p1": "x1", "p2": "x2", "p3": "x3"}))
+    argv = [str(class_file) if word == "cls.json" else word for word in shlex.split(line, comments=True)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv[1:]) == 0
+    if argv[1] == "betti":
+        assert out.getvalue() == "1 1 1 1 1\n"  # as the README's comment says
