@@ -2,11 +2,13 @@
 
 A class is a map from vertices to polynomials such that the difference of
 the values at the two endpoints of every edge is divisible by the edge
-weight.  These maps form a ring under pointwise operations; it carries an
-integration operation (sum of values over the products of vertex weights,
-which collapses to a polynomial) and, for every regular level of the Morse
-function, a restriction to the cross-section obtained by projecting along
-each cut edge into the annihilator of the polarizing vector.
+weight.  A class stores only its values; its degree is read from them, so
+sums and products carry no degree rule.  These maps form a ring under
+pointwise operations; it carries an integration operation (sum of values
+over the products of vertex weights, which collapses to a polynomial) and,
+for every regular level of the Morse function, a restriction to the
+cross-section obtained by projecting along each cut edge into the
+annihilator of the polarizing vector.
 """
 
 from __future__ import annotations
@@ -30,27 +32,22 @@ from .symbolic import (
 
 @dataclass(frozen=True)
 class CohomologyClass:
-    """A vertex-to-polynomial map satisfying the edge divisibility condition.
-
-    The degree field is optional metadata; when set, every value must be
-    homogeneous of that degree.
-    """
+    """A vertex-to-polynomial map satisfying the edge divisibility condition."""
 
     graph: GkmGraph
     values: Mapping[str, Polynomial]
-    degree: Optional[int] = None
 
     def __post_init__(self):
         missing = set(self.graph.vertices) - set(self.values)
         if missing:
             raise CocycleError(f"values missing for vertices {sorted(missing)}")
-        if self.degree is not None:
-            for vertex, poly in self.values.items():
-                hom = poly.homogeneous_degree()
-                if hom not in (-1, self.degree):
-                    raise CocycleError(
-                        f"value at {vertex} is not homogeneous of degree {self.degree}"
-                    )
+
+    @property
+    def degree(self) -> Optional[int]:
+        """The common degree of the nonzero values; None when they differ
+        (an inhomogeneous value counts as differing) or all are zero."""
+        degrees = {poly.homogeneous_degree() for poly in self.values.values() if not poly.is_zero}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def __getitem__(self, vertex: str) -> Polynomial:
         return self.values[vertex]
@@ -62,22 +59,11 @@ class CohomologyClass:
         if isinstance(other, CohomologyClass):
             if other.graph is not self.graph:
                 raise GraphError("classes live on different graphs")
-            degree = None
-            if self.degree is not None and other.degree is not None:
-                degree = self.degree + other.degree
             return CohomologyClass(
-                self.graph,
-                {v: self.values[v] * other.values[v] for v in self.graph.vertices},
-                degree,
+                self.graph, {v: self.values[v] * other.values[v] for v in self.graph.vertices}
             )
         if isinstance(other, (int, Fraction, Polynomial)):
-            degree = self.degree
-            if isinstance(other, Polynomial) and degree is not None:
-                h = other.homogeneous_degree()
-                degree = degree + h if h is not None and h >= 0 else None
-            return CohomologyClass(
-                self.graph, {v: self.values[v] * other for v in self.graph.vertices}, degree
-            )
+            return CohomologyClass(self.graph, {v: self.values[v] * other for v in self.graph.vertices})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -87,11 +73,8 @@ class CohomologyClass:
             return NotImplemented
         if other.graph is not self.graph:
             raise GraphError("classes live on different graphs")
-        degree = self.degree if self.degree == other.degree else None
         return CohomologyClass(
-            self.graph,
-            {v: self.values[v] + other.values[v] for v in self.graph.vertices},
-            degree,
+            self.graph, {v: self.values[v] + other.values[v] for v in self.graph.vertices}
         )
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
@@ -107,7 +90,7 @@ class CohomologyClass:
 
 def constant_class(graph: GkmGraph, value: RationalLike = 1) -> CohomologyClass:
     poly = Polynomial.constant(rat(value), graph.dimension)
-    return CohomologyClass(graph, {v: poly for v in graph.vertices}, degree=0)
+    return CohomologyClass(graph, {v: poly for v in graph.vertices})
 
 
 @dataclass
@@ -197,7 +180,7 @@ def edge_class(graph: GkmGraph, eid: int) -> CohomologyClass:
         ),
         dim,
     )
-    return CohomologyClass(graph, values, degree=graph.valence - 1)
+    return CohomologyClass(graph, values)
 
 
 # ---------------------------------------------------------------------------

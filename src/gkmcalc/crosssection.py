@@ -17,7 +17,9 @@ exactly.  A matrix between any two regular levels is built by thom._carry,
 the edge sweep that also sums the path classes: each row T(v, .) starts as
 1 on its source cut edge v and is carried up one crossed vertex at a time
 through Q.  compose_transfer checks the result entry by entry against the
-ascending-path weighted sums with weights Q(gamma).
+ascending-path weighted sums with weights Q(gamma), over the paths that
+ThomCalculator.paths_from enumerates, the package's one path enumerator;
+a cut edge of both levels is its own path, T(v, v) = 1.
 
 Transporting one class needs no matrix: it runs on the Thom-class engine's
 flip-flop step, which interpolates the values on the descending edges of
@@ -27,6 +29,8 @@ interpolant psi on the ascending ones.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -189,28 +193,26 @@ def _transfer_by_paths(
 ) -> dict[tuple[int, int], RationalExpr]:
     """Entries as ascending-path sums T(v, w) = sum_gamma Q(gamma).
 
-    Paths start with the cut edge v, switch only at vertices strictly
-    between the two levels, and end with an edge crossing the upper level;
-    Q(gamma) multiplies the transfer weights of consecutive edge pairs.
+    The paths are v gamma' w, with gamma' an ascending path (from
+    calc.paths_from) from the head of v to the tail of w, so every vertex
+    it switches at lies strictly between the two levels; Q(gamma)
+    multiplies the transfer weights of consecutive edge pairs.  A cut edge
+    of both levels is the one-edge path, T(v, v) = 1.
     """
-    polarization, graph = calc.pol, calc.graph
-    high = target.level
-    dim = graph.dimension
+    graph, high = calc.graph, target.level
+    zero = RationalExpr.zero(graph.dimension)
     entries: dict[tuple[int, int], RationalExpr] = {}
-    # (start, last edge, Q of the prefix), pushed in reverse for preorder
-    stack = [(v, v, RationalExpr.one(dim)) for v in reversed(source.cut)]
-    while stack:
-        start, eid, weight = stack.pop()
-        head = graph.edges[eid].target
-        if polarization.level(head) > high:
-            current = entries.get((start, eid))
-            entries[(start, eid)] = weight if current is None else current + weight
+    for v in source.cut:
+        head = graph.edges[v].target
+        if calc.pol.level(head) > high:
+            entries[(v, v)] = RationalExpr.one(graph.dimension)
             continue
-        steps = [
-            (start, nxt, weight * calc.q_pair(eid, nxt))
-            for nxt in polarization.ascending_out(head)
-        ]
-        stack.extend(reversed(steps))
+        paths = calc.paths_from(head)
+        for w in target.cut:
+            for middle in paths.get(graph.edges[w].source, ()):
+                gamma = (v, *middle, w)
+                weight = functools.reduce(operator.mul, map(calc.q_pair, gamma, gamma[1:]))
+                entries[(v, w)] = entries.get((v, w), zero) + weight
     return entries
 
 

@@ -42,12 +42,12 @@ def check_longest_path_global() -> CheckResult:
     paths = calc.ascending_paths(bottom, top)
     longest = max(paths, key=len)
     for eid in longest:
-        iota = calc.iota(eid)
-        if not iota.is_global:
+        if not calc.has_unique_path(eid):
             return CheckResult("longest-path globality", False, f"{graph.edges[eid].key()} not global")
-        if not iota.value.is_polynomial:
+        iota = calc.iota(eid)
+        if not iota.is_polynomial:
             return CheckResult("longest-path globality", False, f"{graph.edges[eid].key()} not polynomial")
-        if pol.self_indexing and iota.value.num.total_degree() > 0:
+        if pol.self_indexing and iota.num.total_degree() > 0:
             return CheckResult("longest-path globality", False, f"{graph.edges[eid].key()} not constant")
     return CheckResult("longest-path globality", True, f"longest path of length {len(longest)}")
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import FormatError
 from .graph import GkmGraph
-from .symbolic import _FIELD, LinearForm, Polynomial
+from .symbolic import LinearForm, Polynomial
 
 
 def root_basis_names(n: int) -> tuple[str, ...]:
@@ -23,24 +23,22 @@ def root_basis_names(n: int) -> tuple[str, ...]:
 
 @functools.lru_cache(maxsize=16)
 def _coordinates_in_roots(n: int) -> tuple[LinearForm, ...]:
-    """e_k = e_1 + a_1 + ... + a_{k-1}, with e_1 kept as the first variable."""
-    return tuple(LinearForm([1] * (k + 1) + [0] * (n - 1 - k)) for k in range(n))
+    """e_1 -> 0 and e_k -> a_1 + ... + a_{k-1}, as forms in the n - 1 roots."""
+    return tuple(LinearForm([1] * k + [0] * (n - 1 - k)) for k in range(n))
 
 
 def to_root_basis(poly: Polynomial) -> Polynomial:
     """Rewrite a polynomial in e_1..e_n in the simple roots a_i = e_{i+1}-e_i.
 
     Only polynomials generated by differences of coordinates lie in the root
-    subring; anything else raises.
+    subring, those with zero derivative along (1, ..., 1); anything else
+    raises.  On that subring e_1 may be set to zero, which leaves
+    e_k = a_1 + ... + a_{k-1}.
     """
     n = poly.dim
-    image = poly.substitute(_coordinates_in_roots(n))
-    # x_1 is the highest field of a packed key, so a key without it is the
-    # same int in the n - 1 root variables
-    shift = _FIELD * (n - 1)
-    if any(key >> shift for key in image._num):
+    if not poly.directional_derivative((1,) * n).is_zero:
         raise FormatError("polynomial is not in the span of the simple roots")
-    return Polynomial._canonical(n - 1, image._num, image._den)
+    return poly.substitute(_coordinates_in_roots(n))
 
 
 def basis_renderer(graph: GkmGraph, basis: str):
@@ -51,9 +49,8 @@ def basis_renderer(graph: GkmGraph, basis: str):
     (the flag-variety convention), else coordinates.
     """
     if basis == "auto":
-        # a form sums to zero when its int numerators do
         sum_zero = all(
-            sum(edge.weight._num) == 0 for edge in graph.edges
+            sum(edge.weight.coeffs) == 0 for edge in graph.edges
         ) and graph.dimension >= 2 and bool(graph.edges)
         basis = "roots" if sum_zero else "x"
     if basis == "x":

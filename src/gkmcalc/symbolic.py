@@ -199,17 +199,6 @@ class LinearForm:
         j = next(i for i, c in enumerate(a) if c)
         return all(x * b[j] == y * a[j] for x, y in zip(a, b))
 
-    def normalized(self) -> tuple["LinearForm", Fraction]:
-        """Return (monic form, scale) with self == scale * monic.
-
-        "Monic" means the first nonzero coefficient is 1; used to key
-        denominator multisets so that scalar multiples merge.
-        """
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero form")
-        monic, lead, den = _monic(self)
-        return monic, Fraction(lead, den)
-
     def as_polynomial(self) -> "Polynomial":
         if self._poly is None:
             n = len(self._num)
@@ -1009,8 +998,9 @@ def _monic(form: LinearForm) -> tuple[LinearForm, int, int]:
 
 def _divide_out(num: Polynomial, form: LinearForm, mult: int) -> tuple[Polynomial, int]:
     """Divide num by form as often as it goes, at most mult times; returns
-    the quotient and the multiplicity left."""
-    while mult:
+    the quotient and the multiplicity left.  A constant num (nonzero, as
+    every caller passes) returns at once: no linear form divides it."""
+    while mult and any(num._num):
         quotient = num.divide_linear(form)
         if quotient is None:
             break

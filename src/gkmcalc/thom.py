@@ -9,9 +9,10 @@ shares on every descending edge.
 The path sums of thom_class_paths are its independent verifier: each
 route's sums are checked against the engine's class of the same base at
 every vertex, and the engine's class is returned, so every Thom class is
-one object.  Structure constants c_pq^r are the localization integral of
-tau_p^+ tau_q^+ tau_r^-, each class verified by its path sums.  A
-calculator memoizes its values per instance (_memoized).
+one object.  The engine checks its own promise: every class is a cocycle,
+homogeneous of degree sigma_base.  Structure constants c_pq^r are the
+localization integral of tau_p^+ tau_q^+ tau_r^-, each class verified by
+its path sums.  A calculator memoizes its values per instance (_memoized).
 
 For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
@@ -21,15 +22,17 @@ factors along two independent routes,
 
   * the intersection-number form: (-1)^m nu_q (iota_{e_1}/ahat_m)
     prod_{k>=2} iota_{e_k}/(ahat_{k-1} - ahat_k), with
-    ahat_k = alpha_{e_k}/alpha_{e_k}(xi), and
+    ahat_k = alpha_{e_k}/alpha_{e_k}(xi) and iota_e = Theta_pq/alpha_e(xi),
+    a value; it is global when has_unique_path(e), and
   * the transfer form Q(e_m) Q(gamma) rho_{e_1}(nu_p),
 
 so the path sums are carried edge by edge (_carry, which also sweeps the
 transfer matrices of crosssection), once along each route.  Each route
 must equal the engine's polynomial values exactly, which checks that the
 sums collapse and that the routes agree; a mismatch raises, as a bug trap.
-Paths are enumerated only where a path is the object: path_weight and
-path_sum; has_unique_path and the nearby-path configurations only count
+Paths are enumerated only where a path is the object, and only by
+paths_from: path_sum and the path-sum check of crosssection's transfer
+matrices; has_unique_path and the nearby-path configurations only count
 and measure them, by one sweep (path_counts).
 """
 
@@ -57,19 +60,6 @@ from .symbolic import (
 )
 
 Path = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EdgeIntersection:
-    """A local intersection number iota_e with its globality flag.
-
-    The value is global (equal to a cross-section integral, hence a
-    polynomial) when the edge is the unique ascending path between its
-    endpoints.
-    """
-
-    value: RationalExpr
-    is_global: bool
 
 
 def _memoized(method):
@@ -123,7 +113,8 @@ class ThomCalculator:
 
     @_memoized
     def paths_from(self, start: str) -> dict[str, list[Path]]:
-        """All ascending paths out of a vertex, grouped by endpoint.
+        """All ascending paths out of a vertex, grouped by endpoint: the
+        package's one path enumerator.
 
         Exhaustive depth-first enumeration over the ascending orientation
         (a DAG, so paths never revisit a vertex) with an explicit stack, in
@@ -217,10 +208,12 @@ class ThomCalculator:
             self.graph.dimension,
         )
 
-    def iota(self, eid: int) -> EdgeIntersection:
-        """Local intersection number Theta_pq / alpha_e(xi)."""
-        value = self.theta(eid).div_scalar(self.pol.pairings[eid])
-        return EdgeIntersection(value, self.has_unique_path(eid))
+    @_memoized
+    def iota(self, eid: int) -> RationalExpr:
+        """Local intersection number Theta_pq / alpha_e(xi).  It is global
+        (a cross-section integral, hence a polynomial) when the edge is the
+        only ascending path between its endpoints (has_unique_path)."""
+        return self.theta(eid).div_scalar(self.pol.pairings[eid])
 
     # -- transfer weights -----------------------------------------------------
 
@@ -262,7 +255,7 @@ class ThomCalculator:
         (-1)^m, for the intersection-number form; rho_e(nu_p), Q(e, e') and
         Q(e) for the transfer form."""
         return (
-            (self._minus_iota, self._iota_step, self._iota_close),
+            (lambda eid: -self.iota(eid), self._iota_step, self._iota_close),
             (self._rho_seed, self.q_pair, self.q_edge),
         )
 
@@ -276,13 +269,8 @@ class ThomCalculator:
         return self._hat(first) - self._hat(second)
 
     @_memoized
-    def _minus_iota(self, eid: int) -> RationalExpr:
-        """-iota_e read from theta and the pairing, without iota's path count."""
-        return -self.theta(eid).div_scalar(self.pol.pairings[eid])
-
-    @_memoized
     def _iota_step(self, first: int, second: int) -> RationalExpr:
-        return self._minus_iota(second).div_form(self._gap(first, second))
+        return (-self.iota(second)).div_form(self._gap(first, second))
 
     @_memoized
     def _iota_close(self, eid: int) -> RationalExpr:
@@ -413,7 +401,12 @@ class ThomCalculator:
             raise InternalConsistencyError(
                 f"Thom class of {graph.label(base)} is not a cocycle: {witness}"
             )
-        return CohomologyClass(graph, values, degree=pol.sigma[base])
+        tau = CohomologyClass(graph, values)
+        if tau.degree != pol.sigma[base]:
+            raise InternalConsistencyError(
+                f"Thom class of {graph.label(base)} is not homogeneous of degree {pol.sigma[base]}"
+            )
+        return tau
 
     def thom_class_minus(self, base: str) -> CohomologyClass:
         """Descending Thom class: the ascending class for the reversed polarization."""

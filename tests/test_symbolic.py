@@ -474,6 +474,23 @@ class TestRationalExprReduction:
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
 
+    def test_constant_numerator_is_not_trial_divided(self, monkeypatch):
+        # div_form multiplies by 1/form, whose constant numerator no factor
+        # divides: only the other numerator is tried, by the new form
+        x1 = Polynomial.variable(0, 3)
+        form = LinearForm([1, 1, 1])
+        expr, expected = RationalExpr.make(x1, [A1, A2]), RationalExpr.make(x1, [A1, A2, form])
+        calls = []
+        original = Polynomial.divide_linear
+        monkeypatch.setattr(
+            Polynomial, "divide_linear", lambda self, f: calls.append(f) or original(self, f)
+        )
+        assert expr.div_form(form) == expected
+        assert calls == [form]
+        del calls[:]
+        assert RationalExpr.of_forms((), [A1], 3).div_form(A2).num == Polynomial.one(3)
+        assert calls == []
+
     def test_of_forms_with_a_zero_form(self):
         zero = LinearForm.zero(2)
         assert RationalExpr.of_forms([X1, zero], [X2], 2).is_zero
@@ -619,14 +636,19 @@ class TestLinearForm:
         assert A.pair(xi_in) == sum((x * y for x, y in zip(a, xi)), Fraction(0))
         assert A.proportional(B) == ref_proportional(a, b)
         assert A.is_zero == (not any(a))
+        # scalar multiples of one form merge into one monic denominator factor
+        dim = len(a)
         if any(a):
-            monic, scale = A.normalized()
             lead = next(c for c in a if c)
-            assert scale == lead
-            assert monic.coeffs == tuple(x / lead for x in a)
+            monic = LinearForm([x / lead for x in a])
+            assert RationalExpr.of_forms((), [A], dim).den == ((monic, 1),)
+            if f:
+                merged = RationalExpr.of_forms((), [A, A.scale(factor)], dim)
+                assert merged.den == ((monic, 2),)
+                assert merged.num == Polynomial.constant(1 / (f * lead * lead), dim)
         else:
-            with pytest.raises(ValueError):
-                A.normalized()
+            with pytest.raises(ZeroDivisionError):
+                RationalExpr.of_forms((), [A], dim)
         assert A.as_polynomial().terms == ref_form(a)
         pairing = sum((y * z for y, z in zip(b, xi)), Fraction(0))
         if pairing:

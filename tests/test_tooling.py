@@ -103,20 +103,37 @@ def test_tracer_reads_polynomial_coefficients():
 
 
 def test_flag_products_script_runs():
+    # under -O too: the script's check must not be an assert
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "flag_products.py")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    for flags in ([], ["-O"]):
+        result = subprocess.run(
+            [sys.executable, *flags, str(ROOT / "scripts" / "flag_products.py")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        products = re.findall(r"^tau\[[^\]]+\] \* tau\[[^\]]+\] = ", result.stdout, re.M)
+        assert len(products) == 36
+
+
+def test_flag_products_script_exits_1_on_a_disagreement(monkeypatch, capsys):
+    # a structure constant that is zero everywhere disagrees with the first
+    # nonzero coefficient of the expansion
+    from gkmcalc.thom import ThomCalculator
+
+    spec = importlib.util.spec_from_file_location("flag_products", ROOT / "scripts" / "flag_products.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(
+        ThomCalculator, "structure_constant", lambda self, p, q, r: Polynomial.zero(3)
     )
-    assert result.returncode == 0, result.stderr
-    products = re.findall(r"^tau\[[^\]]+\] \* tau\[[^\]]+\] = ", result.stdout, re.M)
-    assert len(products) == 36
+    assert script.main() == 1
+    assert "but expansion 1" in capsys.readouterr().err
 
 
 FAILING_PROPERTY = """
