@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import FormatError, GraphError
-from .graph import GkmGraph, OrientedEdge, _validate_connection, validate_axial
+from .graph import GkmGraph, OrientedEdge, _connection_constant, _validate_connection, validate_axial
 from .symbolic import LinearForm, RationalLike, format_rational, rat_vector
 
 
@@ -310,8 +310,7 @@ def derive_connection(graph: GkmGraph) -> dict[tuple[int, int], int]:
                 continue
             options = []
             for image in target_star:
-                diff = graph.weight(image) - graph.weight(other)
-                if diff.is_zero or diff.proportional(edge.weight):
+                if _connection_constant(graph, edge.eid, other, image) is not None:
                     options.append(image)
             candidates[other] = options
         matchings = _count_perfect_matchings(star, candidates)

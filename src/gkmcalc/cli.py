@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 
 from .builders import build_graph
 from .cohomology import CohomologyClass, cocycle_witness, integrate
-from .crosssection import chamber_levels, compose_transfer
+from .crosssection import chamber_levels, compose_transfer, crossed_vertices
 from .demo import run_demo
-from .errors import GkmCalcError
+from .errors import GkmCalcError, PolarizationError
 from .graph import GkmGraph, Polarization, betti, polarize, validate
 from .render import basis_renderer, layout_table, parse_polynomial
 from .symbolic import Polynomial, default_names, format_rational, rat
@@ -227,8 +227,11 @@ def cmd_transfer(args) -> int:
     low = _parse_level(args.from_level, "--from-level") if args.from_level is not None else levels[1]
     if args.to_level is not None:
         high = _parse_level(args.to_level, "--to-level")
+    elif not crossed_vertices(pol, levels[1], levels[-1]):
+        raise PolarizationError("no vertex lies above the minimum level, so there is nothing to transfer")
     else:
-        high = levels[-2] if len(levels) > 2 else levels[-1]
+        # below the top vertex, unless that leaves no vertex to cross
+        high = levels[-2] if crossed_vertices(pol, levels[1], levels[-2]) else levels[-1]
     matrix = compose_transfer(pol, low, high)
     names, _ = _names_and_text(graph, args.basis)
     markov = matrix.is_markov()

@@ -244,26 +244,27 @@ def _validate_connection(graph: GkmGraph, report: ValidationReport) -> None:
                     f"connection along {edge.key()} is not inverted by the reversed edge "
                     f"at {graph.edges[other].key()}"
                 )
-            diff = graph.weight(image) - graph.weight(other)
-            if diff.is_zero:
-                report.connection_constants[(edge.eid, other)] = Fraction(0)
-            elif diff.proportional(edge.weight):
-                ratio = _proportionality_ratio(diff, edge.weight)
-                report.connection_constants[(edge.eid, other)] = ratio
-            else:
+            constant = _connection_constant(graph, edge.eid, other, image)
+            if constant is None:
                 add(
                     f"connection along {edge.key()}: weight of image of "
                     f"{graph.edges[other].key()} differs by a non-multiple of the edge weight"
                 )
+            else:
+                report.connection_constants[(edge.eid, other)] = constant
         if len(set(images)) != len(source_star):
             add(f"connection along {edge.key()} is not a bijection of edge stars")
 
 
-def _proportionality_ratio(form: LinearForm, base: LinearForm) -> Fraction:
-    for a, b in zip(form.coeffs, base.coeffs):
-        if b != 0:
-            return a / b
-    raise ValueError("zero base form")
+def _connection_constant(graph: GkmGraph, eid: int, other: int, image: int) -> Optional[Fraction]:
+    """The compatibility rule: the c with alpha_image = alpha_other + c *
+    alpha_eid, or None when there is none."""
+    diff, weight = graph.weight(image) - graph.weight(other), graph.weight(eid)
+    if diff.is_zero:
+        return Fraction(0)
+    if not diff.proportional(weight):
+        return None
+    return diff.pair(weight.coeffs) / weight.pair(weight.coeffs)
 
 
 # ---------------------------------------------------------------------------

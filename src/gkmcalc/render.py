@@ -49,8 +49,9 @@ def basis_renderer(graph: GkmGraph, basis: str):
     (the flag-variety convention), else coordinates.
     """
     if basis == "auto":
+        ones = (1,) * graph.dimension
         sum_zero = all(
-            sum(edge.weight.coeffs) == 0 for edge in graph.edges
+            not edge.weight.pair(ones) for edge in graph.edges
         ) and graph.dimension >= 2 and bool(graph.edges)
         basis = "roots" if sum_zero else "x"
     if basis == "x":

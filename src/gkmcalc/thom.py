@@ -34,6 +34,10 @@ Paths are enumerated only where a path is the object, and only by
 paths_from: path_sum and the path-sum check of crosssection's transfer
 matrices; has_unique_path and the nearby-path configurations only count
 and measure them, by one sweep (path_counts).
+Theta_pq is the raw quotient of rho_e over the descending weights at p and
+q, whose factors matched by the connection of_forms cancels, so no class
+computation reads the connection: classes, both routes, pairings and
+structure constants rest on the weights and the polarization alone.
 """
 
 from __future__ import annotations
@@ -161,42 +165,22 @@ class ThomCalculator:
 
     @_memoized
     def theta(self, eid: int) -> RationalExpr:
-        """The edge ratio Theta_pq in connection-cancelled form.
+        """The edge ratio Theta_pq = rho_e(nu_p) / rho_e(prod of the
+        descending weights at q other than the reversal of e).
 
-        With E_pq the descending edges at p whose connection image is not
-        descending at q, and E_qp the descending edges at q (other than the
-        reversal) whose image under the reverse connection is not descending
-        at p, Theta = rho_e(prod E_pq) / rho_e(prod E_qp).  Orientation
-        reversal leaves it unchanged.
+        The paper cancels the factors that the connection matches; the
+        compatibility rule makes each matched pair project to the same form,
+        so of_forms cancels them itself and Theta reads only the weights.
+        Orientation reversal leaves it unchanged.
         """
         if not self.pol.ascending(eid):
             return self.theta(self.graph.reverse(eid))
-        graph, pol = self.graph, self.pol
-        edge = graph.edges[eid]
-        rev = edge.reverse_id
-        p_desc = set(pol.descending_out(edge.source))
-        q_desc = set(pol.descending_out(edge.target))
-        numerator_edges = [
-            e for e in p_desc if graph.theta(eid, e) not in q_desc
-        ]
-        denominator_edges = [
-            e
-            for e in q_desc
-            if e != rev and graph.theta(rev, e) not in p_desc
-        ]
-        return self._rho_ratio(edge.weight, numerator_edges, denominator_edges)
-
-    def theta_uncancelled(self, eid: int) -> RationalExpr:
-        """The raw quotient over all descending edges, before cancellation."""
-        graph, pol = self.graph, self.pol
-        if not pol.ascending(eid):
-            return self.theta_uncancelled(graph.reverse(eid))
-        edge = graph.edges[eid]
-        numerator_edges = list(pol.descending_out(edge.source))
-        denominator_edges = [
-            e for e in pol.descending_out(edge.target) if e != edge.reverse_id
-        ]
-        return self._rho_ratio(edge.weight, numerator_edges, denominator_edges)
+        edge = self.graph.edges[eid]
+        return self._rho_ratio(
+            edge.weight,
+            self.pol.descending_out(edge.source),
+            [e for e in self.pol.descending_out(edge.target) if e != edge.reverse_id],
+        )
 
     def _rho_ratio(
         self, weight: LinearForm, numerator_edges: Iterable[int], denominator_edges: Iterable[int]

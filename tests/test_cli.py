@@ -280,6 +280,31 @@ class TestStructconstCommand:
         assert "c[(12),(23) -> (231)] = 1" in out
         assert "MISMATCH" not in out
 
+    def test_mismatch_is_marked_and_fails(self, capsys, monkeypatch):
+        # perturb one expansion coefficient: the integral must disagree there
+        from gkmcalc.symbolic import Polynomial
+        from gkmcalc.thom import ThomCalculator
+
+        expand = ThomCalculator.multiplication_constants
+
+        def perturbed(self, p, q):
+            coefficients = expand(self, p, q)
+            r = self.graph.vertex_by_label("(231)")
+            coefficients[r] = coefficients[r] + Polynomial.one(self.graph.dimension)
+            return coefficients
+
+        monkeypatch.setattr(ThomCalculator, "multiplication_constants", perturbed)
+        argv = ["structconst", "--graph", "permutahedron:3", "--p", "(12)", "--q", "(23)"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "c[(12),(23) -> (231)] = 1  [MISMATCH expansion: 2]" in out.splitlines()
+        assert out.count("MISMATCH") == 1
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 1
+        constants = json.loads(out)["constants"]
+        assert constants["(231)"] == {"paths": "1", "expansion": "2", "agree": False}
+        assert [label for label, entry in constants.items() if not entry["agree"]] == ["(231)"]
+
     def test_path_classes_enumerate_no_path(self, capsys, monkeypatch):
         # path classes are carried edge by edge: neither command may walk
         # or weigh a single path
@@ -314,6 +339,23 @@ class TestTransferCommand:
         code, out, _ = run(capsys, "transfer", "--graph", "permutahedron:3")
         assert code == 0
         assert "markov column sums: ok" in out
+
+    @pytest.mark.parametrize("spec", ["complete:2", "permutahedron:2"])
+    def test_default_levels_on_two_vertices(self, capsys, spec):
+        # nothing lies between the two vertices, so the default sweep runs
+        # past the top one
+        code, out, err = run(capsys, "transfer", "--graph", spec)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["transfer 2/3 -> 7/3: 1 x 0 cut edges", "markov column sums: ok"]
+        explicit = run(capsys, "transfer", "--graph", spec, "--from-level", "2/3", "--to-level", "7/3")
+        assert explicit == (0, out, "")
+
+    def test_default_levels_on_one_vertex(self, capsys):
+        code, out, err = run(capsys, "transfer", "--graph", "complete:1")
+        assert code == 1
+        assert out == ""
+        assert "no vertex lies above the minimum level" in err
+        assert "need c < c'" not in err
 
 
 class TestIntegrateCommand:

@@ -202,6 +202,19 @@ class TestRootBasis:
         poly = Polynomial.variable(0, graph.dimension)
         assert convert(poly) is poly
 
+    def test_auto_basis_builds_no_fraction_view(self, monkeypatch):
+        # the sum-zero test pairs each weight with (1, ..., 1) on its int
+        # numerators; a Fraction view of every weight cost more per command
+        # than building the graph
+        graph = build_graph("permutahedron:4")
+
+        def refuse(self):
+            raise AssertionError("a Fraction view of a weight was built")
+
+        monkeypatch.setattr(LinearForm, "coeffs", property(refuse))
+        names, _ = basis_renderer(graph, "auto")
+        assert names == ("a1", "a2", "a3")
+
     def test_bad_basis_rejected(self):
         with pytest.raises(FormatError):
             basis_renderer(permutahedron(3), "cartan")

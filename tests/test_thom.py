@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from gkmcalc.cohomology import cocycle_witness, integrate
 from gkmcalc.demo import flag3_expected_table
 from gkmcalc.graph import longest_path_morse, polarize
 from gkmcalc.render import to_root_basis
-from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, rho_poly
+from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, rho_form, rho_poly
 from gkmcalc.thom import (
     ThomCalculator,
     _flip_flop,
@@ -17,8 +19,29 @@ from gkmcalc.thom import (
     nearby_path_identity,
 )
 
+DATA = Path(__file__).parent / "data"
 A1 = LinearForm([-1, 1, 0])
 A2 = LinearForm([0, -1, 1])
+
+
+def connection_cancelled_theta(calc, eid):
+    """The paper's Theta_pq for an ascending edge e = p -> q:
+    rho_e(prod E_pq) / rho_e(prod E_qp), with E_pq the descending edges at p
+    whose connection image is not descending at q and E_qp the descending
+    edges at q, other than the reversal, whose image under the reverse
+    connection is not descending at p."""
+    graph, pol = calc.graph, calc.pol
+    edge = graph.edges[eid]
+    rev = edge.reverse_id
+    p_desc = set(pol.descending_out(edge.source))
+    q_desc = set(pol.descending_out(edge.target))
+    top = [e for e in p_desc if graph.theta(eid, e) not in q_desc]
+    bottom = [e for e in q_desc if e != rev and graph.theta(rev, e) not in p_desc]
+    return RationalExpr.of_forms(
+        [rho_form(graph.weight(e), edge.weight, pol.xi) for e in top],
+        [rho_form(graph.weight(e), edge.weight, pol.xi) for e in bottom],
+        graph.dimension,
+    )
 
 
 def brute_force_paths(graph, pol, start, end):
@@ -114,14 +137,23 @@ class TestTheta:
                 assert theta == RationalExpr.one(3)
 
     @pytest.mark.parametrize(
-        "build", [lambda: permutahedron(3), lambda: complete_graph(5)]
+        "build",
+        [
+            lambda: permutahedron(3),
+            lambda: complete_graph(5),
+            lambda: permutahedron(4),
+            lambda: load_graph(DATA / "square_diagonal.graph"),
+        ],
     )
     def test_cancelled_equals_uncancelled(self, build):
+        # theta, the raw quotient, against the paper's connection-cancelled
+        # form under both polarizations
         graph = build()
-        calc = ThomCalculator(polarize(graph))
-        for edge in graph.edges:
-            if calc.pol.ascending(edge.eid):
-                assert calc.theta(edge.eid) == calc.theta_uncancelled(edge.eid)
+        forward = ThomCalculator(polarize(graph))
+        for calc in (forward, forward.reversed_calculator()):
+            for edge in graph.edges:
+                if calc.pol.ascending(edge.eid):
+                    assert calc.theta(edge.eid) == connection_cancelled_theta(calc, edge.eid)
 
     def test_orientation_symmetry(self, flag3_calc):
         # Theta computed for the reversed edge under the reversed
@@ -629,6 +661,31 @@ class TestStructureConstants:
         }
         for r in graph.vertices:
             assert flag3_calc.structure_constant(p, q, r) == coefficients[r]
+
+
+class TestWithoutConnection:
+    @pytest.mark.parametrize("spec", ["permutahedron:3", "complete:5", "square_diagonal"])
+    def test_classes_and_constants_do_not_read_the_connection(self, spec):
+        # the connection is left to validation, derivation, the nearby-path
+        # triangles and totally geodesic subgraphs
+        def calculator(clear):
+            if spec == "square_diagonal":
+                graph = load_graph(DATA / "square_diagonal.graph")
+            else:
+                graph = build_graph(spec)
+            if clear:
+                graph.connection.clear()
+            return ThomCalculator(polarize(graph))
+
+        intact, bare = calculator(False), calculator(True)
+        vertices = intact.graph.vertices
+        for kept, cleared in ((intact, bare), (intact.reversed_calculator(), bare.reversed_calculator())):
+            for base in vertices:
+                for name in ("thom_class_paths", "thom_class_inductive"):
+                    expected = getattr(kept, name)(base).values
+                    assert getattr(cleared, name)(base).values == expected
+        for p, q, r in itertools.product(vertices, repeat=3):
+            assert bare.structure_constant(p, q, r) == intact.structure_constant(p, q, r)
 
 
 class TestExpansion:
