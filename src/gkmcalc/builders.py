@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -376,10 +377,11 @@ def load_graph(path: Union[str, Path]) -> GkmGraph:
 def build_graph(spec: str) -> GkmGraph:
     """Resolve a builder spec: 'complete:N', 'permutahedron:N' or 'file:PATH'."""
     kind, _, argument = spec.partition(":")
-    if kind == "complete":
-        return complete_graph(int(argument))
-    if kind == "permutahedron":
-        return permutahedron(int(argument))
+    sized = {"complete": complete_graph, "permutahedron": permutahedron}
+    if kind in sized:
+        if not re.fullmatch("[0-9]+", argument):  # int() would also take " 3", "+3", "0_3"
+            raise ValueError(f"size {argument!r} is not a string of digits 0-9")
+        return sized[kind](int(argument))
     if kind == "file":
         return load_graph(argument)
     if Path(spec).exists():

@@ -3,11 +3,12 @@
 Subcommands: validate, betti, thom, table, pair, structconst, transfer,
 integrate, demo.  Graphs come from builder specs (complete:N,
 permutahedron:N) or files (file:PATH or a bare path).  Output is the
-canonical polynomial rendering, deterministic across runs; --format
-structured mirrors the same content as JSON.  Exit status: 0 on success,
-1 on validation or consistency failures (a parsed xi of the wrong length
-or with a zero pairing among them), on an exponent above 2**15 - 1 in one
-variable, and when the reader of standard output closes it early, 2 on
+canonical polynomial rendering, deterministic across runs, written a line
+at a time by _emit; --format structured mirrors the same content as JSON.
+Exit status: 0 on success, 1 on validation or consistency failures (a
+parsed xi of the wrong length or with a zero pairing among them), on an
+exponent above 2**15 - 1 in one variable, when the reader of standard
+output closes it early, and on a failed or short write to it, 2 on
 usage errors (a malformed graph spec, --xi value or transfer level, an
 unreadable graph file, an unreadable or malformed class file, exactly one
 of pair's --p and --q).
@@ -16,12 +17,14 @@ of pair's --p and --q).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .builders import build_graph
 from .cohomology import CohomologyClass, cocycle_witness, integrate
@@ -29,7 +32,7 @@ from .crosssection import chamber_levels, compose_transfer, crossed_vertices
 from .demo import run_demo
 from .errors import GkmCalcError, PolarizationError
 from .graph import GkmGraph, Polarization, betti, polarize, validate
-from .render import basis_renderer, layout_table, parse_polynomial
+from .render import _layout_lines, basis_renderer, parse_polynomial
 from .symbolic import Polynomial, default_names, format_rational, rat
 from .thom import ThomCalculator
 
@@ -73,13 +76,6 @@ def _graph_and_polarization(args) -> tuple[GkmGraph, Polarization]:
     return graph, polarize(graph, _parse_xi(getattr(args, "xi", None)))
 
 
-def _emit(args, text: str, structured: dict) -> None:
-    if getattr(args, "format", "text") == "structured":
-        print(json.dumps(structured, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
 def _names_and_text(graph: GkmGraph, basis: str):
     """(names, text) for one command: text(value) is the value converted to
     the basis and rendered, each distinct value once per command."""
@@ -94,57 +90,71 @@ def _names_and_text(graph: GkmGraph, basis: str):
     return names, text
 
 
+def _calculator(args):
+    """The set-up of a command on one polarized graph: the graph, its
+    polarization, a calculator on it and the command's text function."""
+    graph, pol = _graph_and_polarization(args)
+    return graph, pol, ThomCalculator(pol), _names_and_text(graph, args.basis)[1]
+
+
+class _WriteError(Exception):
+    """A write to standard output failed or fell short; main reports it and exits FAILURE."""
+
+
+def _emit(args, lines: Iterable[str], structured: dict) -> None:
+    """The one writer to standard output: a write per text line (`lines` is
+    read in the text format only), or the structured document in the chunks
+    that json.dumps joins.  A closed pipe raises BrokenPipeError, any other
+    failed or short write _WriteError."""
+    if getattr(args, "format", "text") == "structured":
+        chunks = itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(structured), ["\n"])
+    else:
+        chunks = (line + "\n" for line in lines)
+    try:
+        for chunk in chunks:
+            if (written := sys.stdout.write(chunk)) != len(chunk):
+                raise _WriteError(f"short write to standard output: {written} of {len(chunk)} characters")
+        sys.stdout.flush()  # a failed or closed output raises here, not at interpreter exit
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _WriteError(f"cannot write to standard output: {exc}") from exc
+
+
 def cmd_validate(args) -> int:
     try:
         graph = _build_graph(args.graph)
     except GkmCalcError as exc:
-        _emit(args, f"[FAIL] {exc}", {"ok": False, "violations": [str(exc)]})
+        _emit(args, [f"[FAIL] {exc}"], {"ok": False, "violations": [str(exc)]})
         return FAILURE
     report = validate(graph)
     if report.ok:
-        _emit(
-            args,
+        summary = (
             f"[OK] {args.graph}: {len(graph.vertices)} vertices, valence {graph.valence}, "
-            f"dimension {graph.dimension}",
-            {"ok": True, "violations": []},
+            f"dimension {graph.dimension}"
         )
+        _emit(args, [summary], {"ok": True, "violations": []})
         return 0
-    text = "\n".join(f"[FAIL] {line}" for line in report.violations)
-    _emit(args, text, {"ok": False, "violations": report.violations})
+    lines = (f"[FAIL] {line}" for line in report.violations)
+    _emit(args, lines, {"ok": False, "violations": report.violations})
     return FAILURE
 
 
 def cmd_betti(args) -> int:
     numbers = betti(_build_graph(args.graph), _parse_xi(args.xi))
-    _emit(args, " ".join(str(b) for b in numbers), {"betti": list(numbers)})
+    _emit(args, [" ".join(str(b) for b in numbers)], {"betti": list(numbers)})
     return 0
 
 
-def _class_lines(
-    graph: GkmGraph, pol: Polarization, values: dict[str, Polynomial], basis: str
-) -> tuple[list[str], dict[str, str]]:
-    _, text = _names_and_text(graph, basis)
-    rendered = {graph.label(v): text(values[v]) for v in pol.vertices_by_level()}
-    lines = [f"{label}: {value}" for label, value in rendered.items()]
-    return lines, rendered
-
-
 def cmd_thom(args) -> int:
-    graph, pol = _graph_and_polarization(args)
-    calc = ThomCalculator(pol)
+    graph, pol, calc, text = _calculator(args)
     if args.minus:
         calc = calc.reversed_calculator()
-    vertex = graph.vertex_by_label(args.vertex)
-    if args.algorithm == "paths":
-        cls = calc.thom_class_paths(vertex)
-    else:
-        cls = calc.thom_class_inductive(vertex)
-    lines, rendered = _class_lines(graph, pol, dict(cls.values), args.basis)
-    _emit(
-        args,
-        "\n".join(lines),
-        {"vertex": args.vertex, "minus": bool(args.minus), "values": rendered},
-    )
+    compute = calc.thom_class_paths if args.algorithm == "paths" else calc.thom_class_inductive
+    cls = compute(graph.vertex_by_label(args.vertex))
+    rendered = {graph.label(v): text(cls.values[v]) for v in pol.vertices_by_level()}
+    lines = (f"{label}: {value}" for label, value in rendered.items())
+    _emit(args, lines, {"vertex": args.vertex, "minus": bool(args.minus), "values": rendered})
     return 0
 
 
@@ -156,48 +166,36 @@ def _table_column(calc: ThomCalculator, text, base: str):
 
 
 def cmd_table(args) -> int:
-    graph, pol = _graph_and_polarization(args)
-    calc = ThomCalculator(pol)
-    _, text = _names_and_text(graph, args.basis)
+    graph, pol, calc, text = _calculator(args)
     order = pol.vertices_by_level()
     labels = [graph.label(v) for v in order]
     columns = dict(_table_column(calc, text, base) for base in order)
     headers = ["vertex"] + [f"tau[{label}]" for label in labels]
-    rows = [[row_label] + [columns[col][row_label] for col in labels] for row_label in labels]
-    _emit(args, layout_table(headers, rows), {"order": labels, "columns": columns})
+    rows = [[row] + [columns[col][row] for col in labels] for row in labels]
+    _emit(args, _layout_lines(headers, rows), {"order": labels, "columns": columns})
     return 0
 
 
 def cmd_pair(args) -> int:
     if (args.p is None) != (args.q is None):
         raise UsageError("pair takes both --p and --q, or neither")
-    graph, pol = _graph_and_polarization(args)
-    calc = ThomCalculator(pol)
-    _, text = _names_and_text(graph, args.basis)
+    graph, pol, calc, text = _calculator(args)
     if args.p is not None:
         value = text(calc.pairing(graph.vertex_by_label(args.p), graph.vertex_by_label(args.q)))
-        _emit(args, value, {"p": args.p, "q": args.q, "integral": value})
+        _emit(args, [value], {"p": args.p, "q": args.q, "integral": value})
         return 0
     order = pol.vertices_by_level()
     labels = [graph.label(v) for v in order]
-    matrix = {}
-    rows = []
-    for p in order:
-        row = []
-        for q in order:
-            value = text(calc.pairing(p, q))
-            matrix[f"{graph.label(p)},{graph.label(q)}"] = value
-            row.append(value)
-        rows.append([graph.label(p)] + row)
-    headers = ["tau+ \\ tau-"] + labels
-    _emit(args, layout_table(headers, rows), {"order": labels, "matrix": matrix})
+    matrix = {
+        f"{graph.label(p)},{graph.label(q)}": text(calc.pairing(p, q)) for p in order for q in order
+    }
+    rows = [[row] + [matrix[f"{row},{col}"] for col in labels] for row in labels]
+    _emit(args, _layout_lines(["tau+ \\ tau-"] + labels, rows), {"order": labels, "matrix": matrix})
     return 0
 
 
 def cmd_structconst(args) -> int:
-    graph, pol = _graph_and_polarization(args)
-    calc = ThomCalculator(pol)
-    _, text = _names_and_text(graph, args.basis)
+    graph, pol, calc, text = _calculator(args)
     p = graph.vertex_by_label(args.p)
     q = graph.vertex_by_label(args.q)
     targets = [graph.vertex_by_label(args.r)] if args.r is not None else pol.vertices_by_level()
@@ -217,7 +215,7 @@ def cmd_structconst(args) -> int:
             "expansion": text(expansion_value),
             "agree": agree,
         }
-    _emit(args, "\n".join(lines), {"p": args.p, "q": args.q, "constants": structured})
+    _emit(args, lines, {"p": args.p, "q": args.q, "constants": structured})
     return 0 if all(entry["agree"] for entry in structured.values()) else FAILURE
 
 
@@ -235,18 +233,24 @@ def cmd_transfer(args) -> int:
     matrix = compose_transfer(pol, low, high)
     names, _ = _names_and_text(graph, args.basis)
     markov = matrix.is_markov()
-    text = matrix.render(names) + f"\nmarkov column sums: {'ok' if markov else 'VIOLATED'}"
-    entries = {
-        f"{graph.edges[v].key()}|{graph.edges[w].key()}": value.render(names)
-        for (v, w), value in sorted(matrix.entries.items())
-    }
+    source, target = matrix.source, matrix.target
+    rendered = {vw: value.render(names) for vw, value in matrix.entries.items()}  # each entry once
+    key = {eid: graph.edges[eid].key() for eid in source.cut + target.cut}
+    lines = [f"transfer {source.level} -> {target.level}: {len(source)} x {len(target)} cut edges"]
+    lines += (  # the sweep stores nonzero entries only
+        f"  T[{key[v]} -> {key[w]}] = {rendered[v, w]}"
+        for w in target.cut
+        for v in source.cut
+        if (v, w) in rendered
+    )
+    lines.append(f"markov column sums: {'ok' if markov else 'VIOLATED'}")
     _emit(
         args,
-        text,
+        lines,
         {
-            "from": format_rational(matrix.source.level),
-            "to": format_rational(matrix.target.level),
-            "entries": entries,
+            "from": format_rational(source.level),
+            "to": format_rational(target.level),
+            "entries": {f"{key[v]}|{key[w]}": value for (v, w), value in rendered.items()},
             "markov": markov,
         },
     )
@@ -254,7 +258,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    graph, pol = _graph_and_polarization(args)
+    graph, _, _, text = _calculator(args)
     try:
         with open(args.class_file) as handle:
             document = json.load(handle)
@@ -269,29 +273,22 @@ def cmd_integrate(args) -> int:
     }
     witness = cocycle_witness(graph, values)
     if witness is not None:
-        _emit(args, f"[FAIL] not a cocycle: {witness}", {"ok": False, "witness": str(witness)})
+        _emit(args, [f"[FAIL] not a cocycle: {witness}"], {"ok": False, "witness": str(witness)})
         return FAILURE
-    result = integrate(CohomologyClass(graph, values))
-    _, text = _names_and_text(graph, args.basis)
-    value = text(result)
-    _emit(args, value, {"integral": value})
+    value = text(integrate(CohomologyClass(graph, values)))
+    _emit(args, [value], {"integral": value})
     return 0
 
 
 def cmd_demo(args) -> int:
     results = run_demo()
-    lines = []
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        suffix = f" ({result.detail})" if result.detail else ""
-        lines.append(f"[{status}] {result.name}{suffix}")
-    ok = all(r.passed for r in results)
-    _emit(
-        args,
-        "\n".join(lines),
-        {"checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]},
+    lines = (
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name}" + (f" ({r.detail})" if r.detail else "")
+        for r in results
     )
-    return 0 if ok else FAILURE
+    checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+    _emit(args, lines, {"checks": checks})
+    return 0 if all(r.passed for r in results) else FAILURE
 
 
 @functools.cache
@@ -381,14 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = args.handler(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return status
-    except BrokenPipeError:
+        return args.handler(args)
+    except (BrokenPipeError, _WriteError) as exc:
+        if isinstance(exc, _WriteError):  # a closed pipe has no reader to tell
+            print(f"[FAIL] {exc}", file=sys.stderr)
         # later writes, the interpreter's final flush included, go nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # a stream without a descriptor
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         return FAILURE
     except (GkmCalcError, OverflowError) as exc:
         print(f"[FAIL] {type(exc).__name__}: {exc}", file=sys.stderr)

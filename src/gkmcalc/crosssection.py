@@ -18,8 +18,8 @@ the edge sweep that also sums the path classes: each row T(v, .) starts as
 1 on its source cut edge v and is carried up one crossed vertex at a time
 through Q.  compose_transfer checks the result entry by entry against the
 ascending-path weighted sums with weights Q(gamma), over the paths that
-ThomCalculator.paths_from enumerates, the package's one path enumerator;
-a cut edge of both levels is its own path, T(v, v) = 1.
+ThomCalculator.paths_from enumerates below the upper level, the package's
+one path enumerator; a cut edge of both levels is its own path, T(v, v) = 1.
 
 Transporting one class needs no matrix: it runs on the Thom-class engine's
 flip-flop step, which interpolates the values on the descending edges of
@@ -33,7 +33,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .errors import GraphError, InternalConsistencyError, PolarizationError
 from .cohomology import CrossSectionClass, cut_edge_ids
@@ -113,23 +113,6 @@ class TransferMatrix:
         one = RationalExpr.one(self.source.polarization.graph.dimension)
         return all(self.column_sum(w) == one for w in self.target.cut)
 
-    def render(self, names: Optional[Sequence[str]] = None) -> str:
-        graph = self.source.polarization.graph
-        lines = [
-            f"transfer {self.source.level} -> {self.target.level}: "
-            f"{len(self.source.cut)} x {len(self.target.cut)} cut edges"
-        ]
-        for w in self.target.cut:
-            for v in self.source.cut:
-                value = self.entries.get((v, w))
-                if value is None or value.is_zero:
-                    continue
-                lines.append(
-                    f"  T[{graph.edges[v].key()} -> {graph.edges[w].key()}] = "
-                    f"{value.render(names)}"
-                )
-        return "\n".join(lines)
-
 
 def _sweep(
     polarization: Polarization, c: RationalLike, c_prime: RationalLike
@@ -194,10 +177,10 @@ def _transfer_by_paths(
     """Entries as ascending-path sums T(v, w) = sum_gamma Q(gamma).
 
     The paths are v gamma' w, with gamma' an ascending path (from
-    calc.paths_from) from the head of v to the tail of w, so every vertex
-    it switches at lies strictly between the two levels; Q(gamma)
-    multiplies the transfer weights of consecutive edge pairs.  A cut edge
-    of both levels is the one-edge path, T(v, v) = 1.
+    calc.paths_from, bounded by the upper level) from the head of v to the
+    tail of w, so every vertex it switches at lies strictly between the two
+    levels; Q(gamma) multiplies the transfer weights of consecutive edge
+    pairs.  A cut edge of both levels is the one-edge path, T(v, v) = 1.
     """
     graph, high = calc.graph, target.level
     zero = RationalExpr.zero(graph.dimension)
@@ -207,7 +190,7 @@ def _transfer_by_paths(
         if calc.pol.level(head) > high:
             entries[(v, v)] = RationalExpr.one(graph.dimension)
             continue
-        paths = calc.paths_from(head)
+        paths = calc.paths_from(head, high)
         for w in target.cut:
             for middle in paths.get(graph.edges[w].source, ()):
                 gamma = (v, *middle, w)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import FormatError
 from .graph import GkmGraph
@@ -50,9 +50,8 @@ def basis_renderer(graph: GkmGraph, basis: str):
     """
     if basis == "auto":
         ones = (1,) * graph.dimension
-        sum_zero = all(
-            not edge.weight.pair(ones) for edge in graph.edges
-        ) and graph.dimension >= 2 and bool(graph.edges)
+        weights = {edge.weight for edge in graph.edges}  # each distinct weight tested once
+        sum_zero = graph.dimension >= 2 and bool(weights) and not any(w.pair(ones) for w in weights)
         basis = "roots" if sum_zero else "x"
     if basis == "x":
         return None, lambda poly: poly
@@ -132,14 +131,20 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 
 
 def layout_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Fixed-width table with a header rule; deterministic for golden files."""
+    """Fixed-width table with a header rule; deterministic for golden files.
+    The CLI writes the same lines one at a time (_layout_lines); this joined
+    form is what perfbench/make_reference.py rebuilds its tables with."""
+    return "\n".join(_layout_lines(headers, rows))
+
+
+def _layout_lines(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> Iterator[str]:
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
     def fmt(cells):
         return " | ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-    rule = "-+-".join("-" * width for width in widths)
-    lines = [fmt(headers), rule]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+    yield fmt(headers)
+    yield "-+-".join("-" * width for width in widths)
+    for row in rows:
+        yield fmt(row)

@@ -32,8 +32,9 @@ must equal the engine's polynomial values exactly, which checks that the
 sums collapse and that the routes agree; a mismatch raises, as a bug trap.
 Paths are enumerated only where a path is the object, and only by
 paths_from: path_sum and the path-sum check of crosssection's transfer
-matrices; has_unique_path and the nearby-path configurations only count
-and measure them, by one sweep (path_counts).
+matrices, which stops at the upper level of its window; has_unique_path
+and the nearby-path configurations only count and measure them, by one
+sweep (path_counts).
 Theta_pq is the raw quotient of rho_e over the descending weights at p and
 q, whose factors matched by the connection of_forms cancels, so no class
 computation reads the connection: classes, both routes, pairings and
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 from .cohomology import CohomologyClass, cocycle_witness, integrate
 from .errors import (
@@ -116,22 +118,27 @@ class ThomCalculator:
     # -- ascending paths ---------------------------------------------------
 
     @_memoized
-    def paths_from(self, start: str) -> dict[str, list[Path]]:
+    def paths_from(self, start: str, below: Optional[Fraction] = None) -> dict[str, list[Path]]:
         """All ascending paths out of a vertex, grouped by endpoint: the
-        package's one path enumerator.
+        package's one path enumerator.  With `below`, only the paths whose
+        every vertex after the start lies below that level.
 
         Exhaustive depth-first enumeration over the ascending orientation
         (a DAG, so paths never revisit a vertex) with an explicit stack, in
-        preorder; the empty path at the start vertex is included.
+        preorder; the empty path at the start vertex is included.  Levels
+        rise along a path, so one step past the bound ends it.
         """
+        edges, pol = self.graph.edges, self.pol
         result: dict[str, list[Path]] = {}
         stack: list[tuple[str, Path]] = [(start, ())]
         while stack:
             vertex, path = stack.pop()
             result.setdefault(vertex, []).append(path)
             # pushed in reverse so that edges are explored in their order
-            for eid in reversed(self.pol.ascending_out(vertex)):
-                stack.append((self.graph.edges[eid].target, path + (eid,)))
+            for eid in reversed(pol.ascending_out(vertex)):
+                target = edges[eid].target
+                if below is None or pol.level(target) < below:
+                    stack.append((target, path + (eid,)))
         return result
 
     def ascending_paths(self, p: str, q: str) -> list[Path]:

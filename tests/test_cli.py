@@ -597,6 +597,16 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("[FAIL] ") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "spec", ["complete: 3", "complete:+3", "complete:0_3", "complete:\u0663", "permutahedron:3 "]
+    )
+    def test_graph_size_ascii_digits_only(self, capsys, spec):
+        # int() would read each of these sizes as 3
+        code, out, err = run(capsys, "betti", "--graph", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("[FAIL] bad graph spec ") and len(err.splitlines()) == 1
+
 
 class TestPolarizationFallback:
     def test_file_without_xi_uses_search(self, capsys, tmp_path, data_dir):
@@ -612,3 +622,122 @@ class TestPolarizationFallback:
         # deterministic across runs
         code2, out2, _ = run(capsys, "betti", "--graph", str(path))
         assert out == out2
+
+
+class _Stdout:
+    """A standard output stand-in that records each write and takes only
+    `share` of it."""
+
+    def __init__(self, share=1.0):
+        self.writes = []
+        self.share = share
+
+    def write(self, text):
+        self.writes.append(text)
+        return int(len(text) * self.share)
+
+    def flush(self):
+        pass
+
+
+class TestOutput:
+    def test_table_writes_a_line_at_a_time(self, monkeypatch):
+        stdout = _Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["table", "--graph", "permutahedron:4"]) == 0
+        assert len(stdout.writes) == 2 + 24
+        assert all(text.endswith("\n") and text.count("\n") == 1 for text in stdout.writes)
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_short_write_fails_with_one_line(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(sys, "stdout", _Stdout(share=0.5))
+        assert main(["betti", "--graph", "complete:3", "--format", fmt]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[FAIL] short write to standard output: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_full_device_fails_with_one_line(self, fmt):
+        # every write to /dev/full fails with ENOSPC
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["table", "--graph", "permutahedron:3", "--format", fmt]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "gkmcalc.cli", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        err = result.stderr.decode()
+        assert result.returncode == 1
+        assert "Traceback" not in err
+        assert err.startswith("[FAIL] cannot write to standard output: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["table", "pair"])
+    def test_structured_lays_out_no_text_table(self, capsys, monkeypatch, command):
+        import gkmcalc.cli
+
+        def refuse(headers, rows):  # a generator, so the layout runs only when read
+            raise AssertionError("text table laid out under --format structured")
+            yield
+
+        monkeypatch.setattr(gkmcalc.cli, "_layout_lines", refuse)
+        code, out, _ = run(capsys, command, "--graph", "permutahedron:3", "--format", "structured")
+        assert code == 0
+        assert len(json.loads(out)["order"]) == 6
+
+    def test_transfer_renders_each_entry_once(self, capsys, monkeypatch):
+        from gkmcalc.symbolic import RationalExpr
+
+        rendered = []
+        render = RationalExpr.render
+        monkeypatch.setattr(
+            RationalExpr, "render", lambda value, names=None: rendered.append(value) or render(value, names)
+        )
+        code, out, _ = run(capsys, "transfer", "--graph", "permutahedron:4")
+        assert code == 0
+        assert len(rendered) == sum(line.startswith("  T[") for line in out.splitlines()) == 20
+
+
+class TestHirzebruchSurfaces:
+    """F_a as a square: weights (1,0), (a,1), (-1,0), (0,-1) on s1>s2>s3>s4>s1
+    and no connection, so the loader derives one, with constants 0 and +-a.
+    c[s2,s2 -> s1] = -a is the self-intersection of the negative section
+    (Fulton, Introduction to Toric Varieties, 1993, ch. 5), an oracle
+    independent of both Thom-class routes."""
+
+    @pytest.fixture(params=[0, 1, 2, 5])
+    def surface(self, request, tmp_path):
+        a = request.param
+        edges = [("s1", "s2", (1, 0)), ("s2", "s3", (a, 1)), ("s3", "s4", (-1, 0)), ("s4", "s1", (0, -1))]
+        document = {
+            "dimension": 2,
+            "vertices": ["s1", "s2", "s3", "s4"],
+            "edges": [{"from": f, "to": t, "weight": [str(c) for c in w]} for f, t, w in edges],
+        }
+        path = tmp_path / f"hirzebruch{a}.graph"
+        path.write_text(json.dumps(document))
+        return a, str(path)
+
+    def test_closed_forms(self, capsys, surface):
+        from gkmcalc.builders import load_graph
+        from gkmcalc.graph import validate
+
+        a, spec = surface
+        assert {abs(c) for c in validate(load_graph(spec)).connection_constants.values()} == {0, a}
+        code, out, _ = run(capsys, "validate", "--graph", spec)
+        assert code == 0 and out.startswith("[OK] ")
+        assert run(capsys, "betti", "--graph", spec) == (0, "1 2 1\n", "")
+        code, out, _ = run(capsys, "structconst", "--graph", spec, "--p", "s2", "--q", "s2")
+        assert code == 0 and "MISMATCH" not in out
+        assert f"c[s2,s2 -> s1] = {-a}\n" in out
+
+    def test_path_classes(self, capsys, surface):
+        _, spec = surface
+        for vertex in ("s1", "s2", "s3", "s4"):
+            code, _, err = run(capsys, "thom", "--graph", spec, "--vertex", vertex, "--algorithm", "paths")
+            assert (code, err) == (0, "")

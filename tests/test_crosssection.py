@@ -212,6 +212,23 @@ class TestComposeTransfer:
         expected = _transfer_by_paths(ThomCalculator(pol), matrix.source, matrix.target)
         assert set(matrix.entries) == {key for key, value in expected.items() if not value.is_zero}
 
+    def test_path_check_stays_inside_its_window(self, monkeypatch):
+        # on S_5 the paths from levels[1] up to the top vertex number 91,054;
+        # the check reads only those below the upper level
+        pol = polarize(permutahedron(5))
+        levels = chamber_levels(pol)
+        found = []
+        paths_from = ThomCalculator.paths_from
+
+        def recording(calc, *args):
+            found.append(paths_from(calc, *args))
+            return found[-1]
+
+        monkeypatch.setattr(ThomCalculator, "paths_from", recording)
+        assert compose_transfer(pol, levels[1], levels[2]).is_markov()
+        assert found
+        assert all(pol.level(end) < levels[2] for paths in found for end in paths)
+
     def test_rejects_sweep_through_minimum(self, flag3_pol):
         levels = chamber_levels(flag3_pol)
         with pytest.raises(PolarizationError):

@@ -215,6 +215,15 @@ class TestRootBasis:
         names, _ = basis_renderer(graph, "auto")
         assert names == ("a1", "a2", "a3")
 
+    def test_auto_basis_tests_each_distinct_weight_once(self, monkeypatch):
+        # permutahedron:4 has 144 oriented edges and 12 distinct weights
+        paired = []
+        pair = LinearForm.pair
+        monkeypatch.setattr(LinearForm, "pair", lambda form, xi: paired.append(form) or pair(form, xi))
+        names, _ = basis_renderer(permutahedron(4), "auto")
+        assert names == ("a1", "a2", "a3")
+        assert len(paired) <= 12
+
     def test_bad_basis_rejected(self):
         with pytest.raises(FormatError):
             basis_renderer(permutahedron(3), "cartan")
