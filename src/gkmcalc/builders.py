@@ -3,13 +3,16 @@
 Two families cover the worked examples: the complete graph on n vertices
 (projective (n-1)-space, weight x_i - x_j on the edge p_i -> p_j) and the
 permutahedron (Cayley graph of S_n with all transpositions, the flag
-variety).  Custom graphs load from a JSON document; when the connection is
-omitted the loader derives the unique compatible one or fails listing the
-ambiguities.
+variety).  Each states its connection as a rule, run on the first read of
+graph.connection: by vertices on the complete graph (_vertex_rule), by
+reflecting weights on the permutahedron (_reflection_rule).  Custom graphs
+load from a JSON document; when the connection is omitted the loader derives
+the unique compatible one or fails listing the ambiguities.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -36,20 +39,19 @@ def complete_graph_on_points(
         raise GraphError("need at least one point")
     dim = points[0].dim
     names = [f"p{i + 1}" for i in range(n)]
-    undirected = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            undirected.append((names[i], names[j], points[i] - points[j]))
+    pairs = itertools.combinations(range(n), 2)
+    undirected = [(names[i], names[j], points[i] - points[j]) for i, j in pairs]
     xi = rat_vector(default_xi) if default_xi is not None else None
-    graph = GkmGraph.from_undirected(dim, names, undirected, default_xi=xi)
-    connection = {}
-    for edge in graph.edges:
-        for other in graph.out_edges(edge.source):
-            third = graph.edges[other].target
-            image = edge.reverse_id if other == edge.eid else graph.edge_between(edge.target, third)
-            connection[(edge.eid, other)] = image
-    graph.connection.update(connection)
-    return graph
+    return GkmGraph.from_undirected(dim, names, undirected, _vertex_rule, default_xi=xi)
+
+
+def _vertex_rule(graph: GkmGraph) -> dict[tuple[int, int], int]:
+    """The complete graph's connection, named by vertices (see above)."""
+    return {
+        (e.eid, o): e.reverse_id if o == e.eid else graph.edge_between(e.target, graph.edges[o].target)
+        for e in graph.edges
+        for o in graph.out_edges(e.source)
+    }
 
 
 def complete_graph(n: int) -> GkmGraph:
@@ -58,10 +60,6 @@ def complete_graph(n: int) -> GkmGraph:
         raise GraphError("complete graph needs n >= 1")
     points = [LinearForm.basis(i, n) for i in range(n)]
     return complete_graph_on_points(points, default_xi=list(range(n, 0, -1)))
-
-
-def _one_line_name(perm: tuple[int, ...]) -> str:
-    return "".join(str(v) for v in perm)
 
 
 def _swap(perm: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -87,15 +85,17 @@ def permutahedron(n: int) -> GkmGraph:
     Vertices are permutations in one-line notation; pi and pi*t_ij are
     adjacent, and the oriented edge pi -> pi*t_ij carries weight e_j - e_i
     when pi(j) > pi(i).  The connection maps (pi, pi*t') to
-    (pi*t, pi*t'*t).  With xi = (1, ..., n), word length is a self-indexing
-    Morse function.
+    (pi*t, pi*t'*t) = (pi*t, (pi*t)*(t*t'*t)); conjugating t' by t swaps the
+    coordinates i, j of its weight, the reflection in e_j - e_i, so the
+    connection is _reflection_rule, built on first read.  With
+    xi = (1, ..., n), word length is a self-indexing Morse function.
     """
     if n < 2:
         raise GraphError("permutahedron needs n >= 2")
     if n > 9:
         raise GraphError("one-line vertex names support n <= 9")
     perms = list(itertools.permutations(range(1, n + 1)))
-    names = [_one_line_name(p) for p in perms]
+    names = ["".join(map(str, p)) for p in perms]  # one-line notation
     transpositions = list(itertools.combinations(range(n), 2))
     # e_j - e_i, the weight of pi -> pi*t_ij when pi(i) < pi(j)
     weights = {
@@ -103,34 +103,37 @@ def permutahedron(n: int) -> GkmGraph:
         for i, j in transpositions
     }
     name_of = dict(zip(perms, names))
-    undirected = []
-    moves = []  # the transposition t of each undirected edge pi -- pi*t
-    for perm in perms:
-        for i, j in transpositions:
-            if perm[i] < perm[j]:  # perm < perm*t_ij
-                undirected.append((name_of[perm], name_of[_swap(perm, i, j)], weights[i, j]))
-                moves.append((i, j))
+    undirected = [
+        (name_of[perm], name_of[_swap(perm, i, j)], weights[i, j])
+        for perm in perms
+        for i, j in transpositions
+        if perm[i] < perm[j]  # perm < perm*t_ij
+    ]
     labels = dict(FLAG3_LABELS) if n == 3 else None
-    graph = GkmGraph.from_undirected(
-        n, names, undirected, labels=labels, default_xi=rat_vector(range(1, n + 1))
+    return GkmGraph.from_undirected(
+        n, names, undirected, _reflection_rule, labels, rat_vector(range(1, n + 1))
     )
 
-    # oriented edges 2k and 2k + 1 both move by moves[k]
-    edge_of = {(edge.source, moves[edge.eid // 2]): edge.eid for edge in graph.edges}
-    # t*u*t for transpositions t, u: u with its positions moved by t
-    conjugate = {}
-    for t in transpositions:
-        moved = dict(zip(t, reversed(t)))
-        for u in transpositions:
-            conjugate[t, u] = tuple(sorted(moved.get(k, k) for k in u))
-    connection = {}
-    for edge in graph.edges:
-        t = moves[edge.eid // 2]
-        # pi*t'*t = (pi*t)*(t*t'*t); t' = t gives the reversal
-        for other in graph.out_edges(edge.source):
-            connection[(edge.eid, other)] = edge_of[edge.target, conjugate[t, moves[other // 2]]]
-    graph.connection.update(connection)
-    return graph
+
+def _reflection_rule(graph: GkmGraph) -> dict[tuple[int, int], int]:
+    """G/B's connection: along an edge of weight a, the edge of weight b goes to
+    the edge at the head of weight b - 2 (b.a)/(a.a) a; a itself goes to -a."""
+    # distinct weights numbered once, so that the lookups below hash ints
+    forms = list(dict.fromkeys(edge.weight for edge in graph.edges))
+    number = {form: k for k, form in enumerate(forms)}
+    wid = [number[edge.weight] for edge in graph.edges]
+    at = {(edge.source, wid[edge.eid]): edge.eid for edge in graph.edges}
+
+    @functools.cache
+    def reflect(a: int, b: int) -> int:
+        fa, fb = forms[a], forms[b]
+        return number[fb - fa.scale(2 * fb.pair(fa.coeffs) / fa.pair(fa.coeffs))]
+
+    return {
+        (edge.eid, other): at[edge.target, reflect(wid[edge.eid], wid[other])]
+        for edge in graph.edges
+        for other in graph.out_edges(edge.source)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,6 @@ def graph_from_document(document: dict) -> GkmGraph:
         raise FormatError("graph fails validation:\n" + str(axial))
 
     if raw_connection:
-        connection = {}
         for key, value in raw_connection.items():
             try:
                 if not isinstance(value, str):
@@ -260,8 +262,7 @@ def graph_from_document(document: dict) -> GkmGraph:
                 image = _edge_by_key(graph, value)
             except (ValueError, KeyError) as exc:
                 raise FormatError(f"connection entry {key!r}: {exc}") from exc
-            connection[(e, other)] = image
-        graph.connection.update(connection)
+            graph.connection[(e, other)] = image
         _complete_connection_inverses(graph)
     else:
         graph.connection.update(derive_connection(graph))
@@ -302,18 +303,12 @@ def derive_connection(graph: GkmGraph) -> dict[tuple[int, int], int]:
     connection: dict[tuple[int, int], int] = {}
     problems: list[str] = []
     for edge in graph.edges:
-        star = [e for e in graph.out_edges(edge.source)]
-        target_star = [e for e in graph.out_edges(edge.target)]
-        candidates: dict[int, list[int]] = {}
+        star, target_star = graph.out_edges(edge.source), graph.out_edges(edge.target)
+        candidates = {edge.eid: [edge.reverse_id]}
         for other in star:
-            if other == edge.eid:
-                candidates[other] = [edge.reverse_id]
-                continue
-            options = []
-            for image in target_star:
-                if _connection_constant(graph, edge.eid, other, image) is not None:
-                    options.append(image)
-            candidates[other] = options
+            if other != edge.eid:
+                constant = functools.partial(_connection_constant, graph, edge.eid, other)
+                candidates[other] = [image for image in target_star if constant(image) is not None]
         matchings = _count_perfect_matchings(star, candidates)
         if len(matchings) == 0:
             problems.append(f"edge {edge.key()}: no compatible connection")
@@ -332,7 +327,9 @@ def derive_connection(graph: GkmGraph) -> dict[tuple[int, int], int]:
     return connection
 
 
-def _count_perfect_matchings(left: list[int], candidates: dict[int, list[int]]) -> list[dict[int, int]]:
+def _count_perfect_matchings(
+    left: Sequence[int], candidates: dict[int, list[int]]
+) -> list[dict[int, int]]:
     """Backtracking enumeration of perfect matchings, stopping at the
     second: one matching is the connection, two make it ambiguous.  An
     explicit stack keeps the depth of a high-valence vertex off the call

@@ -6,12 +6,12 @@ permutahedron:N) or files (file:PATH or a bare path).  Output is the
 canonical polynomial rendering, deterministic across runs, written a line
 at a time by _emit; --format structured mirrors the same content as JSON.
 Exit status: 0 on success, 1 on validation or consistency failures (a
-parsed xi of the wrong length or with a zero pairing among them), on an
-exponent above 2**15 - 1 in one variable, when the reader of standard
-output closes it early, and on a failed or short write to it, 2 on
-usage errors (a malformed graph spec, --xi value or transfer level, an
-unreadable graph file, an unreadable or malformed class file, exactly one
-of pair's --p and --q).
+parsed xi of the wrong length or with a zero pairing among them, a transfer
+over its path budget), on an exponent above 2**15 - 1 in one variable,
+when the reader of standard output closes it early, and on a failed or
+short write to it, 2 on usage errors (a malformed graph spec, --xi value
+or transfer level, an unreadable graph file, an unreadable or malformed
+class file, exactly one of pair's --p and --q).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .builders import build_graph
 from .cohomology import CohomologyClass, cocycle_witness, integrate
 from .crosssection import chamber_levels, compose_transfer, crossed_vertices
 from .demo import run_demo
-from .errors import GkmCalcError, PolarizationError
+from .errors import GkmCalcError, InternalConsistencyError, PolarizationError
 from .graph import GkmGraph, Polarization, betti, polarize, validate
 from .render import _layout_lines, basis_renderer, parse_polynomial
 from .symbolic import Polynomial, default_names, format_rational, rat
@@ -390,7 +390,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             os.close(devnull)
         return FAILURE
     except (GkmCalcError, OverflowError) as exc:
-        print(f"[FAIL] {type(exc).__name__}: {exc}", file=sys.stderr)
+        consistency = isinstance(exc, InternalConsistencyError) and "graph" in args
+        spec = f" (graph {args.graph})" if consistency else ""  # enough to reproduce it
+        print(f"[FAIL] {type(exc).__name__}: {exc}{spec}", file=sys.stderr)
         return FAILURE
     except UsageError as exc:
         print(f"[FAIL] {exc}", file=sys.stderr)

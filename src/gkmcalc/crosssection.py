@@ -35,11 +35,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import GraphError, InternalConsistencyError, PolarizationError
+from .errors import GraphError, InternalConsistencyError, PathBudgetError, PolarizationError
 from .cohomology import CrossSectionClass, cut_edge_ids
 from .graph import Polarization
 from .symbolic import Polynomial, RationalExpr, RationalLike, rat, rho_poly
 from .thom import ThomCalculator, _carry, _flip_flop
+
+# the most ascending paths compose_transfer's path-sum check may enumerate
+PATH_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ def chamber_levels(polarization: Polarization) -> list[Fraction]:
     """Canonical regular values: midpoints between consecutive critical
     levels, plus one value below the minimum and one above the maximum."""
     critical = polarization.critical_levels()
+    if not critical:
+        raise PolarizationError("the graph has no vertices, so it has no critical level")
     levels = [critical[0] - 1]
     for low, high in zip(critical, critical[1:]):
         levels.append((low + high) / 2)
@@ -205,10 +210,20 @@ def compose_transfer(
     """Transfer between arbitrary regular values c < c', one vertex at a time.
 
     Every entry is compared with the ascending-path weighted sum; the two
-    must agree exactly.
+    must agree exactly.  The paths of that check are counted first, by
+    path_counts from the heads of the source cut edges (a head at or above
+    the upper level reaches no vertex below it), and more than PATH_BUDGET
+    of them raise PathBudgetError before any work.
     """
     low, high, crossed = _sweep(polarization, c, c_prime)
     calc = ThomCalculator(polarization)
+    heads = {calc.graph.edges[v].target for v in cross_section(polarization, low).cut}
+    level = polarization.level
+    count = sum(n for h in heads for x, (n, _) in calc.path_counts(h).items() if level(x) < high)
+    if count > PATH_BUDGET:
+        raise PathBudgetError(
+            f"the transfer check needs {count} ascending paths, over the budget of {PATH_BUDGET}"
+        )
     matrix = _transfer(calc, low, high, crossed)
     _check_against_paths(calc, matrix)
     return matrix

@@ -35,3 +35,7 @@ class FormatError(GkmCalcError, ValueError):
 
 class InternalConsistencyError(GkmCalcError, AssertionError):
     """Two independent evaluation routes disagreed; indicates a bug."""
+
+
+class PathBudgetError(GkmCalcError):
+    """A path-sum check would enumerate more ascending paths than its budget."""

@@ -16,12 +16,13 @@ along ascending edges; longest_path_morse builds all of it at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import types
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, GraphError, PolarizationError
 from .symbolic import LinearForm, RationalLike, _int_vector, format_rational, rat, rat_vector, rho_form
@@ -50,14 +51,14 @@ class GkmGraph:
         dimension: int,
         vertices: Sequence[str],
         edges: Sequence[OrientedEdge],
-        connection: Optional[dict[tuple[int, int], int]] = None,
+        connection: Union[dict, Callable[["GkmGraph"], dict], None] = None,
         labels: Optional[dict[str, str]] = None,
         default_xi: Optional[tuple[Fraction, ...]] = None,
     ):
         self.dimension = dimension
         self.vertices: tuple[str, ...] = tuple(vertices)
         self.edges: tuple[OrientedEdge, ...] = tuple(edges)
-        self.connection = dict(connection) if connection else {}
+        self._connection = connection
         self.labels = dict(labels) if labels else {}
         self.default_xi = default_xi
         self._vertex_set = set(self.vertices)
@@ -80,7 +81,7 @@ class GkmGraph:
         dimension: int,
         vertices: Sequence[str],
         undirected_edges: Sequence[tuple[str, str, LinearForm]],
-        connection: Optional[dict[tuple[int, int], int]] = None,
+        connection: Union[dict, Callable[["GkmGraph"], dict], None] = None,
         labels: Optional[dict[str, str]] = None,
         default_xi: Optional[tuple[Fraction, ...]] = None,
     ) -> "GkmGraph":
@@ -93,6 +94,13 @@ class GkmGraph:
         return GkmGraph(dimension, vertices, edges, connection, labels, default_xi)
 
     # -- basic queries -----------------------------------------------------
+
+    @functools.cached_property
+    def connection(self) -> dict[tuple[int, int], int]:
+        """(eid, other) -> image, built on first read from the dict or the
+        rule (a function of the graph) that the constructor was given."""
+        rule = self._connection
+        return rule(self) if callable(rule) else dict(rule or {})
 
     @property
     def valence(self) -> int:
@@ -546,17 +554,11 @@ def totally_geodesic_subgraph(graph: GkmGraph, subspace: Sequence[LinearForm]) -
         old_to_new[rev] = len(new_edges)
         new_edges.append(OrientedEdge(len(new_edges), redge.source, redge.target, redge.weight))
     connection = {}
-    for eid in keep:
-        for other in keep:
-            if graph.edges[other].source != graph.edges[eid].source:
-                continue
-            image = graph.connection.get((eid, other))
-            if image is None:
-                continue
-            if image not in keep_set:
-                raise GraphError(
-                    "connection leaves the weight subspace; subgraph not totally geodesic"
-                )
-            connection[(old_to_new[eid], old_to_new[other])] = old_to_new[image]
+    for (eid, other), image in graph.connection.items():
+        if not {eid, other} <= keep_set or graph.edges[eid].source != graph.edges[other].source:
+            continue
+        if image not in keep_set:
+            raise GraphError("connection leaves the weight subspace; subgraph not totally geodesic")
+        connection[(old_to_new[eid], old_to_new[other])] = old_to_new[image]
     labels = {v: graph.labels[v] for v in vertices if v in graph.labels}
     return GkmGraph(graph.dimension, vertices, new_edges, connection, labels)

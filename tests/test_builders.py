@@ -48,6 +48,16 @@ class TestCompleteGraph:
             for edge in graph.edges:
                 assert sum(edge.weight.coeffs, start=Fraction(0)) == 0
 
+    def test_repeated_point_violations(self):
+        # the vertex rule names no weight, so the zero weight of p1 -- p2
+        # leaves the connection itself valid
+        x1, x2 = LinearForm.basis(0, 2), LinearForm.basis(1, 2)
+        assert validate(complete_graph_on_points([x1, x1, x2])).violations == [
+            "edge p1>p2: zero weight",
+            "edge p2>p1: zero weight",
+            "vertex p3: weights of p3>p1 and p3>p2 are parallel (GKM condition fails)",
+        ]
+
 
 class TestPermutahedron:
     def test_counts(self):
@@ -91,7 +101,7 @@ class TestPermutahedron:
         pol = polarize(graph)
         assert pol.self_indexing
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_connection_composes_transpositions(self, n):
         # one-line permutations composed as functions: (p*q)(k) = p(q(k));
         # the edge pi -> pi*t_ij carries e_j - e_i when pi(j) > pi(i), and

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from gkmcalc import builders
 from gkmcalc.cli import main
+from gkmcalc.thom import ThomCalculator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -358,6 +360,60 @@ class TestTransferCommand:
         assert "need c < c'" not in err
 
 
+    def test_graph_without_vertices(self, capsys, tmp_path):
+        path = tmp_path / "empty.graph"
+        path.write_text(json.dumps({"dimension": 1, "vertices": [], "edges": [], "xi": ["1"]}))
+        code, out, err = run(capsys, "transfer", "--graph", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "[FAIL] PolarizationError: the graph has no vertices, so it has no critical level\n"
+        )
+
+    def test_path_budget_refuses_the_default_s5_window(self):
+        # the window holds 269,518 ascending paths; they are counted, not
+        # listed, so the refusal comes at once
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "gkmcalc.cli", "transfer", "--graph", "permutahedron:5"],
+            capture_output=True,
+            env=env,
+            timeout=30,
+        )
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode() == (
+            "[FAIL] PathBudgetError: the transfer check needs 269518 ascending paths, "
+            "over the budget of 20000\n"
+        )
+
+
+class TestConnectionOnFirstRead:
+    @pytest.mark.parametrize(
+        "spec, p, q", [("permutahedron:4", "2134", "1324"), ("complete:5", "p2", "p3")]
+    )
+    def test_class_commands_build_no_connection(self, capsys, monkeypatch, spec, p, q):
+        commands = [
+            ["thom", "--vertex", p],
+            ["table"],
+            ["pair"],
+            ["structconst", "--p", p, "--q", q],
+            ["transfer"],
+            ["betti"],
+        ]
+        expected = [run(capsys, command, "--graph", spec, *rest) for command, *rest in commands]
+
+        def rule(graph):
+            raise RuntimeError("the connection was read")
+
+        monkeypatch.setattr(builders, "_reflection_rule", rule)
+        monkeypatch.setattr(builders, "_vertex_rule", rule)
+        with pytest.raises(RuntimeError):
+            builders.build_graph(spec).connection
+        for (command, *rest), before in zip(commands, expected):
+            assert before[0] == 0
+            assert run(capsys, command, "--graph", spec, *rest) == before
+
+
 class TestIntegrateCommand:
     def test_class_file(self, capsys, tmp_path):
         # the coordinate class tau(p_i) = x_i on the triangle: low degree,
@@ -596,6 +652,16 @@ class TestUsageErrors:
         )
         assert code == 2
         assert err.startswith("[FAIL] ") and len(err.strip().splitlines()) == 1
+
+    def test_consistency_failure_names_the_graph(self, capsys, monkeypatch):
+        step = ThomCalculator._iota_step
+        monkeypatch.setattr(ThomCalculator, "_iota_step", lambda calc, *edges: -step(calc, *edges))
+        argv = ["thom", "--graph", "permutahedron:3", "--vertex", "(12)", "--algorithm", "paths"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("[FAIL] InternalConsistencyError: ")
+        assert err.endswith(" (graph permutahedron:3)\n")
 
     @pytest.mark.parametrize(
         "spec", ["complete: 3", "complete:+3", "complete:0_3", "complete:\u0663", "permutahedron:3 "]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.builders import complete_graph, permutahedron
+from gkmcalc import crosssection
+from gkmcalc.builders import build_graph, complete_graph, permutahedron
 from gkmcalc.cohomology import CrossSectionClass, constant_class, kirwan
 from gkmcalc.crosssection import (
     chamber_levels,
@@ -13,7 +14,7 @@ from gkmcalc.crosssection import (
     transport_class,
     transport_with_interpolants,
 )
-from gkmcalc.errors import PolarizationError, ReductionError
+from gkmcalc.errors import PathBudgetError, PolarizationError, ReductionError
 from gkmcalc.graph import polarize
 from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr
 from gkmcalc.thom import ThomCalculator
@@ -228,6 +229,33 @@ class TestComposeTransfer:
         assert compose_transfer(pol, levels[1], levels[2]).is_markov()
         assert found
         assert all(pol.level(end) < levels[2] for paths in found for end in paths)
+
+    @pytest.mark.parametrize("spec", ["permutahedron:4", "complete:5"])
+    def test_path_budget_counts_the_enumerated_paths(self, monkeypatch, spec):
+        # the full sweep's check enumerates exactly the counted paths: a
+        # budget of that many passes, one fewer refuses before any is listed
+        pol = polarize(build_graph(spec))
+        levels = chamber_levels(pol)
+        listed = {}
+        paths_from = ThomCalculator.paths_from
+
+        def recording(calc, *args):
+            found = paths_from(calc, *args)
+            listed[args] = sum(map(len, found.values()))
+            return found
+
+        monkeypatch.setattr(ThomCalculator, "paths_from", recording)
+        assert compose_transfer(pol, levels[1], levels[-1]).is_markov()
+        total = sum(listed.values())
+        assert total == {"permutahedron:4": 548, "complete:5": 15}[spec]
+        monkeypatch.setattr(crosssection, "PATH_BUDGET", total)
+        assert compose_transfer(pol, levels[1], levels[-1]).is_markov()
+        monkeypatch.setattr(crosssection, "PATH_BUDGET", total - 1)
+        listed.clear()
+        message = f"needs {total} ascending paths, over the budget of {total - 1}"
+        with pytest.raises(PathBudgetError, match=message):
+            compose_transfer(pol, levels[1], levels[-1])
+        assert listed == {}
 
     def test_rejects_sweep_through_minimum(self, flag3_pol):
         levels = chamber_levels(flag3_pol)

@@ -69,6 +69,19 @@ class TestValidate:
         )
         assert any("reversal" in line for line in report.violations)
 
+    def test_connection_rule_runs_on_first_read(self):
+        calls = []
+
+        def rule(graph):
+            calls.append(graph)
+            return {(0, 0): 1, (1, 1): 0}
+
+        graph = GkmGraph.from_undirected(1, ["a", "b"], [("a", "b", LinearForm([1]))], rule)
+        assert calls == []
+        assert graph.connection == {(0, 0): 1, (1, 1): 0}
+        assert validate(graph).ok
+        assert calls == [graph]
+
     def test_connection_constants_recorded(self):
         report = validate(complete_graph(3))
         assert report.ok
