@@ -26,8 +26,7 @@ def main() -> int:
         for q in order:
             coefficients = calc.multiplication_constants(p, q)
             terms = []
-            for r in order:
-                integral = calc.structure_constant(p, q, r)
+            for r, integral in calc.structure_constants(p, q, order).items():
                 if integral != coefficients[r]:
                     print(
                         f"c[{graph.label(p)},{graph.label(q)} -> {graph.label(r)}]: integral "

@@ -202,8 +202,7 @@ def cmd_structconst(args) -> int:
     coefficients = calc.multiplication_constants(p, q)
     lines = []
     structured = {}
-    for r in targets:
-        path_value = calc.structure_constant(p, q, r)
+    for r, path_value in calc.structure_constants(p, q, targets).items():
         expansion_value = coefficients[r]
         agree = path_value == expansion_value
         rendered = text(path_value)
@@ -348,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "structconst",
-        help="structure constants: integrals of Thom classes checked by path sums, "
-        "compared with the Thom-basis expansion",
+        help="structure constants: integrals of Thom classes, each checked by path sums "
+        "where the integrand can be nonzero, compared with the Thom-basis expansion",
     )
     add_common(p)
     p.add_argument("--p", required=True)

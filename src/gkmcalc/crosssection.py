@@ -35,14 +35,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import GraphError, InternalConsistencyError, PathBudgetError, PolarizationError
+from .errors import GraphError, InternalConsistencyError, PolarizationError
 from .cohomology import CrossSectionClass, cut_edge_ids
 from .graph import Polarization
 from .symbolic import Polynomial, RationalExpr, RationalLike, rat, rho_poly
 from .thom import ThomCalculator, _carry, _flip_flop
-
-# the most ascending paths compose_transfer's path-sum check may enumerate
-PATH_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -212,18 +209,13 @@ def compose_transfer(
     Every entry is compared with the ascending-path weighted sum; the two
     must agree exactly.  The paths of that check are counted first, by
     path_counts from the heads of the source cut edges (a head at or above
-    the upper level reaches no vertex below it), and more than PATH_BUDGET
-    of them raise PathBudgetError before any work.
+    the upper level reaches no vertex below it), and more than
+    thom.PATH_BUDGET of them raise PathBudgetError before any work.
     """
     low, high, crossed = _sweep(polarization, c, c_prime)
     calc = ThomCalculator(polarization)
     heads = {calc.graph.edges[v].target for v in cross_section(polarization, low).cut}
-    level = polarization.level
-    count = sum(n for h in heads for x, (n, _) in calc.path_counts(h).items() if level(x) < high)
-    if count > PATH_BUDGET:
-        raise PathBudgetError(
-            f"the transfer check needs {count} ascending paths, over the budget of {PATH_BUDGET}"
-        )
+    calc.check_path_budget("the transfer check", heads, lambda x: polarization.level(x) < high)
     matrix = _transfer(calc, low, high, crossed)
     _check_against_paths(calc, matrix)
     return matrix

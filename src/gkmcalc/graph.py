@@ -85,12 +85,16 @@ class GkmGraph:
         labels: Optional[dict[str, str]] = None,
         default_xi: Optional[tuple[Fraction, ...]] = None,
     ) -> "GkmGraph":
-        """Build from one record per undirected edge; reversals get -weight."""
+        """Build from one record per undirected edge; reversals get -weight,
+        each distinct weight negated once."""
         edges = []
+        negated: dict[LinearForm, LinearForm] = {}
         for source, target, weight in undirected_edges:
             eid = len(edges)
+            if weight not in negated:
+                negated[weight] = -weight
             edges.append(OrientedEdge(eid, source, target, weight))
-            edges.append(OrientedEdge(eid + 1, target, source, -weight))
+            edges.append(OrientedEdge(eid + 1, target, source, negated[weight]))
         return GkmGraph(dimension, vertices, edges, connection, labels, default_xi)
 
     # -- basic queries -----------------------------------------------------

@@ -12,7 +12,8 @@ every vertex, and the engine's class is returned, so every Thom class is
 one object.  The engine checks its own promise: every class is a cocycle,
 homogeneous of degree sigma_base.  Structure constants c_pq^r are the
 localization integral of tau_p^+ tau_q^+ tau_r^-, each class verified by
-its path sums.  A calculator memoizes its values per instance (_memoized).
+its path sums where the integrand can be nonzero (thom_class_paths with a
+region).  A calculator memoizes its values per instance (_memoized).
 
 For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
@@ -34,7 +35,8 @@ Paths are enumerated only where a path is the object, and only by
 paths_from: path_sum and the path-sum check of crosssection's transfer
 matrices, which stops at the upper level of its window; has_unique_path
 and the nearby-path configurations only count and measure them, by one
-sweep (path_counts).
+sweep (path_counts).  Every enumeration is counted first, by that sweep,
+and more than PATH_BUDGET paths raise PathBudgetError (check_path_budget).
 Theta_pq is the raw quotient of rho_e over the descending weights at p and
 q, whose factors matched by the connection of_forms cancels, so no class
 computation reads the connection: classes, both routes, pairings and
@@ -46,12 +48,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cohomology import CohomologyClass, cocycle_witness, integrate
 from .errors import (
     GraphError,
     InternalConsistencyError,
+    PathBudgetError,
     ReductionError,
     SpanError,
 )
@@ -66,6 +69,9 @@ from .symbolic import (
 )
 
 Path = tuple[int, ...]
+
+# the most ascending paths one enumeration, or one check built on it, may list
+PATH_BUDGET = 20_000
 
 
 def _memoized(method):
@@ -126,9 +132,16 @@ class ThomCalculator:
         Exhaustive depth-first enumeration over the ascending orientation
         (a DAG, so paths never revisit a vertex) with an explicit stack, in
         preorder; the empty path at the start vertex is included.  Levels
-        rise along a path, so one step past the bound ends it.
+        rise along a path, so one step past the bound ends it.  The paths
+        are counted first, and more than PATH_BUDGET raise PathBudgetError
+        before any is listed.
         """
         edges, pol = self.graph.edges, self.pol
+        self.check_path_budget(
+            f"listing the paths from {self.graph.label(start)}",
+            [start],
+            lambda x: below is None or pol.level(x) < below,
+        )
         result: dict[str, list[Path]] = {}
         stack: list[tuple[str, Path]] = [(start, ())]
         while stack:
@@ -142,6 +155,8 @@ class ThomCalculator:
         return result
 
     def ascending_paths(self, p: str, q: str) -> list[Path]:
+        label = self.graph.label
+        self.check_path_budget(f"listing the paths from {label(p)} to {label(q)}", [p], q.__eq__)
         return self.paths_from(p).get(q, [])
 
     @_memoized
@@ -162,6 +177,14 @@ class ThomCalculator:
             if arriving:
                 counts[vertex] = (sum(n for n, _ in arriving), 1 + max(m for _, m in arriving))
         return counts
+
+    def check_path_budget(self, what: str, starts: Iterable[str], keep: Callable[[str], bool]) -> None:
+        """Raise PathBudgetError when the ascending paths out of `starts`
+        that end at a vertex `keep` accepts number more than PATH_BUDGET.
+        They are counted by path_counts; none is listed."""
+        count = sum(n for s in starts for x, (n, _) in self.path_counts(s).items() if keep(x))
+        if count > PATH_BUDGET:
+            raise PathBudgetError(f"{what} needs {count} ascending paths, over the budget of {PATH_BUDGET}")
 
     def has_unique_path(self, eid: int) -> bool:
         """True when the edge is the only ascending path joining its endpoints."""
@@ -321,25 +344,30 @@ class ThomCalculator:
     # -- Thom classes ----------------------------------------------------------
 
     @_memoized
-    def thom_class_paths(self, base: str) -> CohomologyClass:
+    def thom_class_paths(self, base: str, reach: Optional[frozenset] = None) -> CohomologyClass:
         """Thom class by the path-sum formula: the verifier of
         thom_class_inductive, whose class it returns.
 
-        The sums are carried from the base once along each route, and each
-        route must equal the engine's class at every vertex: the closed sum
-        above the base, nu_base at the base (no ascending path returns to
-        it) and zero elsewhere.  The engine's class is a polynomial cocycle,
-        homogeneous of degree sigma_base, so this also checks that the sums
-        reduce, are homogeneous and agree between the routes.
+        The sums are carried from the base once along each route, through
+        the vertices an ascending path from the base reaches (those in
+        `reach` only, which must hold every vertex of such a path into it).
+        Each route must equal the engine's class there, nu_base at the base
+        (no ascending path returns to it) and zero where no such path
+        arrives.  The engine's class is a polynomial cocycle, homogeneous of
+        degree sigma_base, so this also checks that the sums reduce, are
+        homogeneous and agree between the routes.
         """
         graph, pol = self.graph, self.pol
         engine = self.thom_class_inductive(base)
-        above = [v for v in pol.vertices_by_level() if pol.level(v) > pol.level(base)]
+        up = self.path_counts(base)
+        inside = {v for v in up if v != base and (reach is None or v in reach)}
+        region = [v for v in pol.vertices_by_level() if v in inside]
         zero = Polynomial.zero(graph.dimension)
         for route, (seed, step, close) in zip(("intersection", "transfer"), self._routes()):
-            closed = _carry(pol, {e: seed(e) for e in pol.ascending_out(base)}, above, step, close)[1]
+            seeds = {e: seed(e) for e in pol.ascending_out(base) if graph.edges[e].target in inside}
+            closed = _carry(pol, seeds, region, step, close, inside)[1]
             closed[base] = self.nu_plus(base)
-            for vertex in pol.vertices_by_level():
+            for vertex in (v for v in pol.vertices_by_level() if v in closed or v not in up):
                 value = closed.get(vertex, zero)
                 if value != engine.values[vertex]:
                     raise InternalConsistencyError(
@@ -410,14 +438,21 @@ class ThomCalculator:
         the Morse function is self-indexing."""
         return integrate(self.thom_class_inductive(p) * self.thom_class_minus(q))
 
-    def structure_constant(self, p: str, q: str, r: str) -> Polynomial:
-        """c_pqr as the localization integral of tau_p^+ tau_q^+ tau_r^-: the
-        engine's classes, each returned by thom_class_paths once both of its
-        path-sum routes are checked against it."""
+    def structure_constants(self, p: str, q: str, targets: Sequence[str]) -> dict[str, Polynomial]:
+        """{r: c_pq^r}, the integrals of tau_p^+ tau_q^+ tau_r^-.  These vanish
+        off up(p) & up(q) & down(r), so tau_p^+ and tau_q^+ are checked on D,
+        the union of the down(r), and tau_r^- on up(p) & up(q), each also off
+        its own up-set: off D tau_r^- is then a checked zero, and on D off
+        up(p) & up(q) a plus class is (thom_class_paths)."""
         rev = self.reversed_calculator()
-        return integrate(
-            self.thom_class_paths(p) * self.thom_class_paths(q) * rev.thom_class_paths(r)
-        )
+        below = frozenset().union(*(rev.path_counts(r) for r in targets))
+        product = self.thom_class_paths(p, below) * self.thom_class_paths(q, below)
+        above = frozenset(self.path_counts(p).keys() & self.path_counts(q).keys())
+        return {r: integrate(product * rev.thom_class_paths(r, above)) for r in targets}
+
+    def structure_constant(self, p: str, q: str, r: str) -> Polynomial:
+        """c_pq^r alone: structure_constants(p, q, [r])."""
+        return self.structure_constants(p, q, [r])[r]
 
     def expand_in_thom_basis(self, f: CohomologyClass) -> dict[str, Polynomial]:
         """Coefficients c_r with f = sum c_r tau_r^+, by triangular peeling.
@@ -461,7 +496,8 @@ class ThomCalculator:
 
 
 def _carry(
-    pol: Polarization, carried: dict[int, RationalExpr], vertices: Sequence[str], step, close=None
+    pol: Polarization, carried: dict[int, RationalExpr], vertices: Sequence[str], step,
+    close=None, within=None,
 ) -> tuple[dict[int, RationalExpr], dict[str, RationalExpr]]:
     """Sum a product of edge factors over ascending paths, edge by edge.
 
@@ -469,7 +505,8 @@ def _carry(
     Each vertex, crossed in level order, takes the sums on its arriving
     edges e and gives each leaving edge e' the sum of carried[e] step(e, e');
     with `close`, the vertex also gets the closed sum of carried[e] close(e).
-    Zero sums are not carried.  Returns the sums left on edges leaving the
+    Zero sums are not carried, nor, with `within`, sums onto an edge whose
+    head it does not hold.  Returns the sums left on edges leaving the
     crossed vertices and the closed sum at every crossed vertex.
     """
     zero = RationalExpr.zero(pol.graph.dimension)
@@ -484,6 +521,8 @@ def _carry(
         if close is not None:
             closed[vertex] = sum((value * close(e) for e, value in arriving), zero)
         for up in pol.ascending_out(vertex):
+            if within is not None and pol.graph.edges[up].target not in within:
+                continue
             total = sum((value * step(e, up) for e, value in arriving), zero)
             if not total.is_zero:
                 carried[up] = total

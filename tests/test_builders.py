@@ -66,6 +66,25 @@ class TestPermutahedron:
         assert graph.valence == 3
         assert graph.dimension == 3
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_reversals_negate_each_distinct_weight_once(self, monkeypatch, n):
+        # rebuilt from its forward edges, the graph is the same edge for
+        # edge, and the n(n-1)/2 distinct weights are negated once each
+        graph = permutahedron(n)
+        records = [(e.source, e.target, e.weight) for e in graph.edges[::2]]
+        negations = []
+        negate = LinearForm.__neg__
+
+        def counting(form):
+            negations.append(form)
+            return negate(form)
+
+        monkeypatch.setattr(LinearForm, "__neg__", counting)
+        rebuilt = graph_module.GkmGraph.from_undirected(n, graph.vertices, records)
+        assert rebuilt.edges == graph.edges
+        assert set(negations) == {w for _, _, w in records}
+        assert len(negations) == n * (n - 1) // 2
+
     def test_identity_to_top_weight(self):
         graph = permutahedron(3)
         one = graph.vertex_by_label("1")

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,6 +11,7 @@ import pytest
 
 from gkmcalc import builders
 from gkmcalc.cli import main
+from gkmcalc.graph import polarize
 from gkmcalc.thom import ThomCalculator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -334,6 +337,52 @@ class TestStructconstCommand:
                 *minus,
             )
             assert code == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_all_targets_print_the_single_entries(self, capsys, seed):
+        # one call over every r prints, line for line and entry for entry,
+        # what the commands with one --r print
+        graph = builders.permutahedron(4)
+        rng = random.Random(seed)
+        p, q = (graph.label(rng.choice(graph.vertices)) for _ in range(2))
+        argv = ["structconst", "--graph", "permutahedron:4", "--p", p, "--q", q]
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == 0
+        document = json.loads(out)
+        lines = text.splitlines()
+        assert len(lines) == len(document["constants"]) == 24
+        for line in lines:
+            r = re.match(rf"c\[{p},{q} -> (\d+)\] = ", line).group(1)
+            assert run(capsys, *argv, "--r", r) == (0, line + "\n", "")
+            code, out, _ = run(capsys, *argv, "--r", r, "--format", "structured")
+            assert code == 0
+            assert json.loads(out) == {**document, "constants": {r: document["constants"][r]}}
+
+    def test_sampled_s5_entries_equal_their_expansion(self, capsys):
+        # exit 0 means the integral, read from the classes checked where its
+        # integrand can be nonzero, equals the Thom-basis expansion; r is
+        # drawn from up(p) & up(q), below the degree sigma_p + sigma_q
+        graph = builders.permutahedron(5)
+        pol = polarize(graph)
+        calc = ThomCalculator(pol)
+        order = pol.vertices_by_level()
+        rng = random.Random(24)
+        entries = [("21345", "13245", "32145")]
+        for _ in range(5):
+            p, q = rng.choice(order), rng.choice(order)
+            up = calc.path_counts(p).keys() & calc.path_counts(q).keys()
+            r = rng.choice([v for v in order if v in up and pol.sigma[v] <= pol.sigma[p] + pol.sigma[q]])
+            entries.append(tuple(map(graph.label, (p, q, r))))
+        nonzero = 0
+        for p, q, r in entries:
+            argv = ["structconst", "--graph", "permutahedron:5", "--p", p, "--q", q, "--r", r]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"c[{p},{q} -> {r}] = ") and "MISMATCH" not in out
+            nonzero += not out.endswith(" = 0\n")
+        assert nonzero >= 3  # the sample is not all zeros
 
 
 class TestTransferCommand:

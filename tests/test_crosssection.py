@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc import crosssection
+from gkmcalc import thom
 from gkmcalc.builders import build_graph, complete_graph, permutahedron
 from gkmcalc.cohomology import CrossSectionClass, constant_class, kirwan
 from gkmcalc.crosssection import (
@@ -248,9 +248,9 @@ class TestComposeTransfer:
         assert compose_transfer(pol, levels[1], levels[-1]).is_markov()
         total = sum(listed.values())
         assert total == {"permutahedron:4": 548, "complete:5": 15}[spec]
-        monkeypatch.setattr(crosssection, "PATH_BUDGET", total)
+        monkeypatch.setattr(thom, "PATH_BUDGET", total)
         assert compose_transfer(pol, levels[1], levels[-1]).is_markov()
-        monkeypatch.setattr(crosssection, "PATH_BUDGET", total - 1)
+        monkeypatch.setattr(thom, "PATH_BUDGET", total - 1)
         listed.clear()
         message = f"needs {total} ascending paths, over the budget of {total - 1}"
         with pytest.raises(PathBudgetError, match=message):

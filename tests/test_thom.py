@@ -115,6 +115,29 @@ class TestAscendingPaths:
                 calc.ascending_paths(edge.source, edge.target) == [(eid,)]
             )
 
+    def test_path_budget_counts_before_listing(self, monkeypatch):
+        # S_5 holds 162,482 ascending paths from the bottom to the top and
+        # 432,001 from the bottom to anywhere: both are counted, and refused,
+        # before a single step of the enumeration is taken
+        from gkmcalc.errors import PathBudgetError
+        from gkmcalc.graph import Polarization
+
+        calc = ThomCalculator(polarize(permutahedron(5)))
+        order = calc.pol.vertices_by_level()
+
+        def refuse(self, vertex):
+            raise AssertionError("an enumeration step was taken")
+
+        monkeypatch.setattr(Polarization, "ascending_out", refuse)
+        with pytest.raises(
+            PathBudgetError,
+            match=r"^listing the paths from 12345 to 54321 needs 162482 ascending paths, "
+            r"over the budget of 20000$",
+        ):
+            calc.path_sum(order[0], order[-1])
+        with pytest.raises(PathBudgetError, match=r"^listing the paths from 12345 needs 432001 "):
+            calc.paths_from(order[0])
+
 
 class TestTheta:
     def test_flag_variety_values(self, flag3_calc):
@@ -661,6 +684,79 @@ class TestStructureConstants:
         }
         for r in graph.vertices:
             assert flag3_calc.structure_constant(p, q, r) == coefficients[r]
+
+
+class TestStructureConstantRegions:
+    """Each class is checked by its path sums where the integrand of c_pq^r
+    can be nonzero: tau_p^+ and tau_q^+ on down(r), tau_r^- on
+    up(p) & up(q).  The engine's class of one base is corrupted at one
+    vertex, by adding its leading value there."""
+
+    @staticmethod
+    def corrupted(monkeypatch, calc, base, vertex):
+        from gkmcalc.cohomology import CohomologyClass
+
+        engine = calc.thom_class_inductive
+        right = engine(base)
+        values = {**right.values, vertex: right.values[vertex] + calc.nu_plus(base)}
+        assert values[vertex] != right.values[vertex]
+        wrong = CohomologyClass(calc.graph, values)
+        monkeypatch.setattr(calc, "thom_class_inductive", lambda v: wrong if v == base else engine(v))
+
+    @staticmethod
+    def calculators(*labels):
+        graph = permutahedron(3)
+        calc = ThomCalculator(polarize(graph))
+        return calc, calc.reversed_calculator(), [graph.vertex_by_label(label) for label in labels]
+
+    def test_minus_class_inside_its_region_is_checked(self, monkeypatch):
+        from gkmcalc.errors import InternalConsistencyError
+
+        calc, rev, (p, q, r, v) = self.calculators("(12)", "(23)", "(13)", "(231)")
+        assert v in calc.path_counts(p) and v in calc.path_counts(q) and v in rev.path_counts(r)
+        self.corrupted(monkeypatch, rev, r, v)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^intersection path sum and engine Thom classes of \(13\) differ at \(231\) for xi=",
+        ):
+            calc.structure_constant(p, q, r)
+
+    def test_plus_class_inside_its_region_is_checked(self, monkeypatch):
+        from gkmcalc.errors import InternalConsistencyError
+
+        calc, rev, (p, q, r, v) = self.calculators("(12)", "(23)", "(231)", "(231)")
+        assert v in calc.path_counts(p) and v in rev.path_counts(r)
+        self.corrupted(monkeypatch, calc, p, v)
+        with pytest.raises(
+            InternalConsistencyError,
+            match=r"^intersection path sum and engine Thom classes of \(12\) differ at \(231\) for xi=",
+        ):
+            calc.structure_constant(p, q, r)
+
+    @pytest.mark.parametrize("minus", [False, True])
+    def test_corruption_outside_every_region_fails_the_whole_class(self, monkeypatch, minus):
+        # c_pq^r with p = q = r = (12): the integral reads tau^+ on
+        # down(12) = {1, (12)} and tau^- on up(12); (13) lies above (12)
+        # and 1 below it, so neither corrupted value is read there
+        from gkmcalc.errors import InternalConsistencyError
+
+        calc, rev, (base, v) = self.calculators("(12)", "1" if minus else "(13)")
+        expected = ThomCalculator(calc.pol).structure_constant(base, base, base)
+        owner = rev if minus else calc
+        assert v in owner.path_counts(base)
+        self.corrupted(monkeypatch, owner, base, v)
+        assert calc.structure_constant(base, base, base) == expected
+        label = "1" if minus else r"\(13\)"
+        with pytest.raises(InternalConsistencyError, match=rf"of \(12\) differ at {label} for xi="):
+            owner.thom_class_paths(base)
+
+    @pytest.mark.parametrize("spec", ["permutahedron:3", "complete:5"])
+    def test_one_call_equals_the_single_entries(self, spec):
+        calc = ThomCalculator(polarize(build_graph(spec)))
+        vertices = calc.graph.vertices
+        for p, q in itertools.product(vertices, repeat=2):
+            expected = {r: ThomCalculator(calc.pol).structure_constant(p, q, r) for r in vertices}
+            assert calc.structure_constants(p, q, vertices) == expected
 
 
 class TestWithoutConnection:

@@ -122,7 +122,7 @@ def test_flag_products_script_runs():
 
 
 def test_flag_products_script_exits_1_on_a_disagreement(monkeypatch, capsys):
-    # a structure constant that is zero everywhere disagrees with the first
+    # structure constants that are zero everywhere disagree with the first
     # nonzero coefficient of the expansion
     from gkmcalc.thom import ThomCalculator
 
@@ -130,7 +130,9 @@ def test_flag_products_script_exits_1_on_a_disagreement(monkeypatch, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(
-        ThomCalculator, "structure_constant", lambda self, p, q, r: Polynomial.zero(3)
+        ThomCalculator,
+        "structure_constants",
+        lambda self, p, q, targets: {r: Polynomial.zero(3) for r in targets},
     )
     assert script.main() == 1
     assert "but expansion 1" in capsys.readouterr().err
