@@ -6,8 +6,9 @@ permutahedron (Cayley graph of S_n with all transpositions, the flag
 variety).  Each states its connection as a rule, run on the first read of
 graph.connection: by vertices on the complete graph (_vertex_rule), by
 reflecting weights on the permutahedron (_reflection_rule).  Custom graphs
-load from a JSON document; when the connection is omitted the loader derives
-the unique compatible one or fails listing the ambiguities.
+load from a JSON document, built by GkmGraph.from_undirected as the families
+are; when the connection is omitted the loader's rule derives the unique
+compatible one or fails listing the ambiguities.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import FormatError, GraphError
-from .graph import GkmGraph, OrientedEdge, _connection_constant, _validate_connection, validate_axial
+from .graph import GkmGraph, _connection_constant, _validate_connection, validate_axial
 from .symbolic import LinearForm, RationalLike, format_rational, rat_vector
 
 
@@ -191,8 +192,9 @@ def graph_from_document(document: dict) -> GkmGraph:
     """Build and validate a graph from its JSON document; FormatError on a
     malformed or invalid one.
 
-    A connection that is left out is derived (derive_connection), which
-    raises GraphError when it is not unique."""
+    The connection is a rule, run on its first read in validation: the
+    listed entries (_listed_connection) or, when the file lists none,
+    derive_connection, which raises GraphError when it is not unique."""
     missing = [key for key in ("dimension", "vertices", "edges") if key not in document]
     if missing:
         raise FormatError(f"missing field(s) {', '.join(map(repr, missing))}")
@@ -210,10 +212,9 @@ def graph_from_document(document: dict) -> GkmGraph:
     if not isinstance(labels, dict) or not isinstance(raw_connection, (dict, type(None))):
         raise FormatError("fields 'labels' and 'connection' must be JSON objects")
 
-    # one entry per undirected edge: the listed orientation plus an optional
-    # explicitly-listed reversal (validation checks the weights are negatives)
-    pairs: list[list] = []
-    index: dict[tuple[str, str], int] = {}
+    # one record per undirected edge; a listed reversal must carry its negated weight
+    undirected: list[tuple[str, str, LinearForm]] = []
+    weights: dict[tuple[str, str], LinearForm] = {}
     for position, record in enumerate(edge_records):
         where = f"edges[{position}]"
         try:
@@ -221,56 +222,29 @@ def graph_from_document(document: dict) -> GkmGraph:
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{where}: needs 'from' and 'to'") from exc
         weight = LinearForm(_parse_vector(record.get("weight"), dimension, f"{where}: weight"))
-        if (source, target) in index:
+        if (source, target) in weights:
             raise FormatError(f"{where}: duplicate edge {source}>{target}")
-        if (target, source) in index and pairs[index[(target, source)]][1] is None:
-            pairs[index[(target, source)]][1] = (source, target, weight)
-            index[(source, target)] = index[(target, source)]
-        else:
-            index[(source, target)] = len(pairs)
-            pairs.append([(source, target, weight), None])
-
-    complete: list[OrientedEdge] = []
-    for first, second in pairs:
-        source, target, weight = first
-        eid = len(complete)
-        complete.append(OrientedEdge(eid, source, target, weight))
-        if second is None:
-            complete.append(OrientedEdge(eid + 1, target, source, -weight))
-        else:
-            complete.append(OrientedEdge(eid + 1, second[0], second[1], second[2]))
+        earlier = weights.get((target, source))
+        if earlier is None:
+            undirected.append((source, target, weight))
+        elif weight != -earlier:
+            raise FormatError(f"{where}: reversed weight is not the negative ({earlier} vs {weight})")
+        weights[source, target] = weight
 
     labels = {str(k): str(v) for k, v in labels.items()}
     xi = _parse_vector(document["xi"], dimension, "xi") if document.get("xi") is not None else None
+    rule = functools.partial(_listed_connection, raw_connection) if raw_connection else derive_connection
     try:
-        graph = GkmGraph(dimension, vertices, complete, labels=labels, default_xi=xi)
+        graph = GkmGraph.from_undirected(dimension, vertices, undirected, rule, labels, xi)
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 
-    axial = validate_axial(graph)
-    if not axial.ok:
-        raise FormatError("graph fails validation:\n" + str(axial))
-
-    if raw_connection:
-        for key, value in raw_connection.items():
-            try:
-                if not isinstance(value, str):
-                    raise ValueError(f"image {value!r} is not an edge key")
-                left, right = key.split("|")
-                e = _edge_by_key(graph, left)
-                other = _edge_by_key(graph, right)
-                image = _edge_by_key(graph, value)
-            except (ValueError, KeyError) as exc:
-                raise FormatError(f"connection entry {key!r}: {exc}") from exc
-            graph.connection[(e, other)] = image
-        _complete_connection_inverses(graph)
-    else:
-        graph.connection.update(derive_connection(graph))
-
-    # the axial part of validate has passed above
-    _validate_connection(graph, axial)
-    if not axial.ok:
-        raise FormatError("graph fails validation:\n" + str(axial))
+    # validate in two steps: deriving the connection needs valid weights
+    report = validate_axial(graph)
+    if report.ok:
+        _validate_connection(graph, report)  # the first read of graph.connection
+    if not report.ok:
+        raise FormatError("graph fails validation:\n" + str(report))
     return graph
 
 
@@ -282,14 +256,20 @@ def _edge_by_key(graph: GkmGraph, key: str) -> int:
     return eid
 
 
-def _complete_connection_inverses(graph: GkmGraph) -> None:
-    """Fill theta_ebar entries derivable as inverses of listed ones."""
-    additions = {}
-    for (e, other), image in graph.connection.items():
-        rev = graph.edges[e].reverse_id
-        if (rev, image) not in graph.connection:
-            additions[(rev, image)] = other
-    graph.connection.update(additions)
+def _listed_connection(raw_connection: dict, graph: GkmGraph) -> dict[tuple[int, int], int]:
+    """The connection a graph file lists, {"e|other": image} by edge keys,
+    with the inverse theta_ebar(image) = other of each entry it leaves out."""
+    listed = {}
+    for key, value in raw_connection.items():
+        try:
+            if not isinstance(value, str):
+                raise ValueError(f"image {value!r} is not an edge key")
+            left, right = key.split("|")
+            listed[_edge_by_key(graph, left), _edge_by_key(graph, right)] = _edge_by_key(graph, value)
+        except (ValueError, KeyError) as exc:
+            raise FormatError(f"connection entry {key!r}: {exc}") from exc
+    inverses = {(graph.reverse(e), image): other for (e, other), image in listed.items()}
+    return listed | {key: other for key, other in inverses.items() if key not in listed}
 
 
 def derive_connection(graph: GkmGraph) -> dict[tuple[int, int], int]:

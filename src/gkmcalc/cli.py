@@ -124,19 +124,19 @@ def _emit(args, lines: Iterable[str], structured: dict) -> None:
 def cmd_validate(args) -> int:
     try:
         graph = _build_graph(args.graph)
-    except GkmCalcError as exc:
-        _emit(args, [f"[FAIL] {exc}"], {"ok": False, "violations": [str(exc)]})
-        return FAILURE
-    report = validate(graph)
-    if report.ok:
+    except GkmCalcError as exc:  # a load failure: one violation per line of its message
+        violations = str(exc).splitlines()
+    else:
+        violations = validate(graph).violations
+    if not violations:
         summary = (
             f"[OK] {args.graph}: {len(graph.vertices)} vertices, valence {graph.valence}, "
             f"dimension {graph.dimension}"
         )
         _emit(args, [summary], {"ok": True, "violations": []})
         return 0
-    lines = (f"[FAIL] {line}" for line in report.violations)
-    _emit(args, lines, {"ok": False, "violations": report.violations})
+    lines = (f"[FAIL] {line}" for line in violations)
+    _emit(args, lines, {"ok": False, "violations": violations})
     return FAILURE
 
 
@@ -257,7 +257,8 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    graph, _, _, text = _calculator(args)
+    graph = _build_graph(args.graph)
+    _, text = _names_and_text(graph, args.basis)
     try:
         with open(args.class_file) as handle:
             document = json.load(handle)
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_transfer)
 
     p = sub.add_parser("integrate", help="localization integral of a class file")
-    add_common(p)
+    add_common(p, xi=False)
     p.add_argument("--class-file", required=True, help="JSON map vertex -> polynomial string")
     p.set_defaults(handler=cmd_integrate)
 

@@ -228,17 +228,17 @@ def validate_axial(graph: GkmGraph) -> ValidationReport:
 
 
 def _validate_connection(graph: GkmGraph, report: ValidationReport) -> None:
-    add = report.violations.append
+    add, connection = report.violations.append, graph.connection
     for edge in graph.edges:
         source_star = graph.out_edges(edge.source)
         target_star = set(graph.out_edges(edge.target))
         images = []
         for other in source_star:
             key = (edge.eid, other)
-            if key not in graph.connection:
+            if key not in connection:
                 add(f"connection missing entry for ({edge.key()}, {graph.edges[other].key()})")
                 continue
-            image = graph.connection[key]
+            image = connection[key]
             images.append(image)
             if image not in target_star:
                 add(
@@ -250,7 +250,7 @@ def _validate_connection(graph: GkmGraph, report: ValidationReport) -> None:
                 if image != edge.reverse_id:
                     add(f"connection along {edge.key()} does not send the edge to its reversal")
                 continue
-            back = graph.connection.get((edge.reverse_id, image))
+            back = connection.get((edge.reverse_id, image))
             if back != other:
                 add(
                     f"connection along {edge.key()} is not inverted by the reversed edge "
@@ -324,11 +324,10 @@ class Polarization:
         return longest_path_morse(self.graph, tuple(-x for x in self.xi))
 
     def critical_levels(self) -> list[Fraction]:
-        return sorted(self.phi.values())
+        return [self.phi[v] for v in self._by_level]  # phi increases along _by_level
 
     def is_regular(self, c: RationalLike) -> bool:
-        value = rat(c)
-        return all(value != level for level in self.critical_levels())
+        return rat(c) not in self.phi.values()
 
 
 def _longest_ascending_paths(
@@ -540,29 +539,20 @@ def totally_geodesic_subgraph(graph: GkmGraph, subspace: Sequence[LinearForm]) -
     or edgeless, and its valence is uniform on each connected component.
     """
     basis = _row_reduce([list(f.coeffs) for f in subspace if not f.is_zero])
-    keep = [edge.eid for edge in graph.edges if in_span(edge.weight, basis)]
-    keep_set = set(keep)
-    vertices = [v for v in graph.vertices if any(e in keep_set for e in graph.out_edges(v))]
-    old_to_new: dict[int, int] = {}
-    new_edges: list[OrientedEdge] = []
-    for eid in keep:
-        if eid in old_to_new:
-            continue
-        edge = graph.edges[eid]
-        rev = edge.reverse_id
-        if rev not in keep_set:
-            raise GraphError("edge kept without its reversal; weights inconsistent")
-        old_to_new[eid] = len(new_edges)
-        new_edges.append(OrientedEdge(len(new_edges), edge.source, edge.target, edge.weight))
-        redge = graph.edges[rev]
-        old_to_new[rev] = len(new_edges)
-        new_edges.append(OrientedEdge(len(new_edges), redge.source, redge.target, redge.weight))
+    keep = {edge.eid for edge in graph.edges if in_span(edge.weight, basis)}
+    if any(graph.reverse(eid) not in keep for eid in keep):
+        raise GraphError("edge kept without its reversal; weights inconsistent")
+    # the k-th kept edge of even id becomes edge 2k, its reversal 2k + 1
+    kept = [edge for edge in graph.edges[::2] if edge.eid in keep]
+    new_id = {edge.eid + side: 2 * k + side for k, edge in enumerate(kept) for side in (0, 1)}
     connection = {}
     for (eid, other), image in graph.connection.items():
-        if not {eid, other} <= keep_set or graph.edges[eid].source != graph.edges[other].source:
+        if not {eid, other} <= keep or graph.edges[eid].source != graph.edges[other].source:
             continue
-        if image not in keep_set:
+        if image not in keep:
             raise GraphError("connection leaves the weight subspace; subgraph not totally geodesic")
-        connection[(old_to_new[eid], old_to_new[other])] = old_to_new[image]
+        connection[new_id[eid], new_id[other]] = new_id[image]
+    vertices = [v for v in graph.vertices if any(e in keep for e in graph.out_edges(v))]
     labels = {v: graph.labels[v] for v in vertices if v in graph.labels}
-    return GkmGraph(graph.dimension, vertices, new_edges, connection, labels)
+    undirected = [(edge.source, edge.target, edge.weight) for edge in kept]
+    return GkmGraph.from_undirected(graph.dimension, vertices, undirected, connection, labels)

@@ -707,7 +707,7 @@ def rho_poly(poly: Polynomial, edge_weight: LinearForm, xi: Sequence[RationalLik
     # with int multiples W of alpha_e and X of xi, t = W(x)/s for s = W(X)
     direction, _ = _int_vector(xi)
     weight = edge_weight.as_polynomial()._num
-    s = sum(a * direction[n - 1 - (key.bit_length() - 1) // _FIELD] for key, a in weight.items())
+    s = sum(map(operator.mul, edge_weight._num, direction))
     if s == 0:
         raise PolarizationError(f"edge weight {edge_weight} pairs to zero with xi")
     minus_w = {key: -a for key, a in weight.items()} if s > 0 else dict(weight)

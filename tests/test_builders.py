@@ -23,7 +23,7 @@ from gkmcalc.builders import (
 from gkmcalc.cohomology import cocycle_witness
 from gkmcalc.errors import FormatError, GraphError
 from gkmcalc.graph import polarize, validate
-from gkmcalc.symbolic import LinearForm, Polynomial
+from gkmcalc.symbolic import LinearForm, Polynomial, format_rational
 
 
 class TestCompleteGraph:
@@ -164,7 +164,36 @@ class TestFileFormat:
     def test_negated_weight_fault(self, data_dir):
         with pytest.raises(FormatError) as excinfo:
             load_graph(data_dir / "broken.graph")
-        assert "reversed weight is not the negative" in str(excinfo.value)
+        assert str(excinfo.value) == "edges[1]: reversed weight is not the negative (x1 vs x1)"
+
+    def test_listed_reversals_load_as_implicit_ones(self):
+        graph = permutahedron(3)
+        document = json.loads(dumps_graph(graph))
+        both = json.loads(dumps_graph(graph))
+        for record in document["edges"]:
+            weight = [format_rational(-Fraction(c)) for c in record["weight"]]
+            both["edges"].append({"from": record["to"], "to": record["from"], "weight": weight})
+        one, two = graph_from_document(document), graph_from_document(both)
+        assert two.edges == one.edges == graph.edges
+        assert two.connection == one.connection == graph.connection
+        assert dumps_graph(two) == dumps_graph(one) == dumps_graph(graph)
+
+    def test_listed_reversal_with_a_wrong_weight_names_its_record(self):
+        document = json.loads(dumps_graph(complete_graph(3)))
+        document["edges"].insert(1, {"from": "p2", "to": "p1", "weight": ["1", "-1", "0"]})
+        with pytest.raises(FormatError, match=r"^edges\[1\]: reversed weight is not the negative "):
+            graph_from_document(document)
+
+    def test_listed_connection_gets_the_inverses_it_leaves_out(self):
+        graph = complete_graph(4)
+        document = json.loads(dumps_graph(graph))
+        # keep theta_e for the edges e of even id, whose inverses give the rest
+        even = {f"{edge.key()}|" for edge in graph.edges[::2]}
+        document["connection"] = {
+            key: image for key, image in document["connection"].items() if key[: key.index("|") + 1] in even
+        }
+        assert len(document["connection"]) == len(graph.connection) // 2
+        assert graph_from_document(document).connection == graph.connection
 
     def test_connection_derivation_matches_builder(self):
         # unambiguous for the complete graph: the cross-pair differences are
@@ -252,6 +281,7 @@ MALFORMED = {
     "connection value": (("connection", "p1>p2|p1>p2"), 5),
     "xi": (("xi",), 5),
     "edges": (("edges",), 5),
+    "no edges for the connection": (("edges",), []),
     "weight entry": (("edges", 0, "weight", 0), None),
     "xi exponent": (("xi",), ["1e20000", "1"]),
     "xi decimal": (("xi",), ["0.5", "1"]),

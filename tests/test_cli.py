@@ -201,6 +201,28 @@ class TestValidateCommand:
         assert code != 0
         assert "reversed weight" in out + err
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_one_fail_line_per_file_violation(self, capsys, tmp_path, fmt):
+        # a triangle whose weights are all multiples of x1: parallel at every vertex
+        edges = [("a", "b", ["1", "0"]), ("b", "c", ["2", "0"]), ("a", "c", ["3", "0"])]
+        document = {
+            "dimension": 2,
+            "vertices": ["a", "b", "c"],
+            "edges": [{"from": f, "to": t, "weight": w} for f, t, w in edges],
+        }
+        path = tmp_path / "parallel.graph"
+        path.write_text(json.dumps(document))
+        code, out, err = run(capsys, "validate", "--graph", str(path), "--format", fmt)
+        assert (code, err) == (1, "")
+        if fmt == "structured":
+            result = json.loads(out)
+            assert result["ok"] is False
+            lines = [f"[FAIL] {violation}" for violation in result["violations"]]
+        else:
+            lines = out.splitlines()
+        assert sum("GKM condition fails" in line for line in lines) == 3
+        assert all(line.startswith("[FAIL] ") and "\n" not in line for line in lines)
+
 
 class TestTableCommand:
     def test_golden_flag_table(self, capsys, data_dir):
@@ -518,6 +540,39 @@ class TestIntegrateCommand:
         )
         assert code != 0
         assert "not a cocycle" in out
+
+    @pytest.fixture
+    def hexagon(self, tmp_path):
+        """A valid 6-cycle with weights x1, x2, -x1-x2 twice around: every xi
+        gives two vertices of index zero, so the graph has no polarization."""
+        weights = [(1, 0), (0, 1), (-1, -1)] * 2
+        names = [f"v{i + 1}" for i in range(6)]
+        document = {
+            "dimension": 2,
+            "vertices": names,
+            "edges": [
+                {"from": names[i], "to": names[(i + 1) % 6], "weight": [str(c) for c in w]}
+                for i, w in enumerate(weights)
+            ],
+        }
+        path = tmp_path / "hexagon.graph"
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    def test_needs_no_polarization(self, capsys, tmp_path, hexagon):
+        code, out, _ = run(capsys, "validate", "--graph", hexagon)
+        assert code == 0 and out.startswith("[OK] ")
+        assert run(capsys, "betti", "--graph", hexagon)[0] == 1  # no polarization
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({f"v{i}": "0" for i in range(1, 7)}))
+        assert run(capsys, "integrate", "--graph", hexagon, "--class-file", str(path)) == (0, "0\n", "")
+
+    def test_takes_no_xi(self, capsys, tmp_path):
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({"p1": "x1", "p2": "x2", "p3": "x3"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["integrate", "--graph", "complete:3", "--xi", "3,2,1", "--class-file", str(path)])
+        assert excinfo.value.code == 2
 
 
 class TestDemoCommand:

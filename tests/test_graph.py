@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gkmcalc.builders import build_graph, complete_graph, permutahedron
-from gkmcalc.errors import PolarizationError
+from gkmcalc.errors import GraphError, PolarizationError
 from gkmcalc.graph import (
     GkmGraph,
     OrientedEdge,
@@ -330,6 +330,38 @@ class TestTotallyGeodesic:
         assert sorted(sub.vertices) == ["p1", "p2", "p3"]
         assert all(len(sub.out_edges(v)) == 2 for v in sub.vertices)
         assert validate(sub).ok
+
+    def test_kept_edges_are_renumbered_in_order(self):
+        graph = permutahedron(4)
+        span = [LinearForm([-1, 1, 0, 0]), LinearForm([0, -1, 1, 0])]
+        sub = totally_geodesic_subgraph(graph, span)
+        roots = {span[0], span[1], span[0] + span[1]}
+        kept = [edge for edge in graph.edges[::2] if edge.weight in roots or -edge.weight in roots]
+        # four copies of the S_3 hexagon: 24 vertices, 12 undirected edges each
+        assert len(sub.vertices) == 24 and len(kept) == 36
+        for k, edge in enumerate(kept):
+            assert sub.edges[2 * k] == dataclasses.replace(edge, eid=2 * k)
+            reverse = graph.edges[edge.reverse_id]
+            assert sub.edges[2 * k + 1] == dataclasses.replace(reverse, eid=2 * k + 1)
+        new_id = {old.eid + side: 2 * k + side for k, old in enumerate(kept) for side in (0, 1)}
+        expected = {
+            (new_id[e], new_id[other]): new_id[image]
+            for (e, other), image in graph.connection.items()
+            if e in new_id and other in new_id and graph.edges[e].source == graph.edges[other].source
+        }
+        assert sub.connection == expected
+        assert validate(sub).ok
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_reversal_out_of_the_span_is_reported(self, side):
+        graph = complete_graph(3)
+        edges = list(graph.edges)
+        # give one orientation of p1-p2 a weight outside the span of the other's
+        bad = edges[side ^ 1]
+        edges[side ^ 1] = OrientedEdge(bad.eid, bad.source, bad.target, LinearForm([1, 0, 0]))
+        parent = GkmGraph(graph.dimension, graph.vertices, edges, graph.connection)
+        with pytest.raises(GraphError, match="edge kept without its reversal"):
+            totally_geodesic_subgraph(parent, [graph.edges[side].weight])
 
     def test_subgraph_closed_under_connection(self):
         graph = permutahedron(3)

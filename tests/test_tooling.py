@@ -12,9 +12,12 @@ default xi; every command is checked here against it, byte for byte.  The tracer
 ``Polynomial.terms``, so the view it gives is checked here too.  Three
 commands dominated by rational-expression arithmetic that the reference
 does not cover are checked against the sha256 of their output.  Every
-``gkmcalc`` line of the README's CLI block must run and exit 0.
+``gkmcalc`` line of the README's CLI block must run and exit 0.  Every
+graph in the package is built by ``GkmGraph.from_undirected`` and no line
+of it writes into a graph's connection.
 """
 
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -38,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 REFERENCE = ROOT / "perfbench" / "reference.json"
 README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "gkmcalc"
 
 
 def load_tracer():
@@ -236,3 +240,31 @@ def test_readme_cli_example_runs(line, tmp_path):
         assert main(argv[1:]) == 0
     if argv[1] == "betti":
         assert out.getvalue() == "1 1 1 1 1\n"  # as the README's comment says
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_graphs_are_built_one_way(path):
+    tree = ast.parse(path.read_text())
+    constructor = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "GkmGraph":
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name == "from_undirected":
+                    constructor = {id(inner) for inner in ast.walk(method)}
+
+    def is_connection(node):
+        return isinstance(node, ast.Attribute) and node.attr == "connection"
+
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            assert name != "GkmGraph" or id(node) in constructor, f"{where}: GkmGraph( outside from_undirected"
+            assert not (name == "update" and is_connection(callee.value)), f"{where}: updates a connection"
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                assert not (isinstance(target, ast.Subscript) and is_connection(target.value)), (
+                    f"{where}: assigns into a connection"
+                )
