@@ -125,11 +125,14 @@ class GkmGraph:
     def weight(self, eid: int) -> LinearForm:
         return self.edges[eid].weight
 
+    def __contains__(self, vertex: str) -> bool:
+        return vertex in self._vertex_set
+
     def label(self, vertex: str) -> str:
         return self.labels.get(vertex, vertex)
 
     def vertex_by_label(self, label: str) -> str:
-        if label in self._vertex_set:
+        if label in self:
             return label
         for vertex, alias in self.labels.items():
             if alias == label:

@@ -13,7 +13,11 @@ one object.  The engine checks its own promise: every class is a cocycle,
 homogeneous of degree sigma_base.  Structure constants c_pq^r are the
 localization integral of tau_p^+ tau_q^+ tau_r^-, each class verified by
 its path sums where the integrand can be nonzero (thom_class_paths with a
-region).  A calculator memoizes its values per instance (_memoized).
+region).  tau_p^+ vanishes off up(p), the vertices an ascending path from p
+reaches, and tau_r^- off down(r), so c_pq^r is an exact zero unless r lies
+in up(p) & up(q), and the pairing of tau_p^+ with tau_q^- unless q lies in
+up(p); no class is built or integral taken for such a zero.  A calculator
+memoizes its values per instance (_memoized).
 
 For a polarized GKM graph the Thom class of a vertex p evaluates at q to a
 sum over ascending paths from p to q.  Each summand is a rational function
@@ -120,6 +124,12 @@ class ThomCalculator:
         # no link back: without reference cycles a calculator and its
         # memo are freed as soon as the last reference goes
         return ThomCalculator(self.pol.reversed())
+
+    def _check_vertices(self, *vertices: str) -> None:
+        """Raise GraphError naming the first argument that is not a vertex."""
+        for vertex in vertices:
+            if vertex not in self.graph:
+                raise GraphError(f"unknown vertex {vertex!r}")
 
     # -- ascending paths ---------------------------------------------------
 
@@ -390,8 +400,10 @@ class ThomCalculator:
         d + 1 are taken after a stable sort that puts edges whose lower end
         is zero first, the cheapest nodes.  The result is checked to be a
         cocycle along every edge, the skipped ones included, and
-        homogeneous of degree sigma_base.
+        homogeneous of degree sigma_base.  A base that is not a vertex
+        raises GraphError.
         """
+        self._check_vertices(base)
         graph, pol = self.graph, self.pol
         zero = Polynomial.zero(graph.dimension)
         values = {v: zero for v in graph.vertices}
@@ -435,20 +447,32 @@ class ThomCalculator:
 
     def pairing(self, p: str, q: str) -> Polynomial:
         """Localization integral of tau_p^+ tau_q^-; the identity matrix when
-        the Morse function is self-indexing."""
+        the Morse function is self-indexing.  The integrand vanishes off
+        up(p) & down(q), which is empty unless q lies in up(p), so for any
+        other q the integral is zero and no class is built."""
+        self._check_vertices(p, q)
+        if q not in self.path_counts(p):
+            return Polynomial.zero(self.graph.dimension)
         return integrate(self.thom_class_inductive(p) * self.thom_class_minus(q))
 
     def structure_constants(self, p: str, q: str, targets: Sequence[str]) -> dict[str, Polynomial]:
         """{r: c_pq^r}, the integrals of tau_p^+ tau_q^+ tau_r^-.  These vanish
-        off up(p) & up(q) & down(r), so tau_p^+ and tau_q^+ are checked on D,
-        the union of the down(r), and tau_r^- on up(p) & up(q), each also off
+        off up(p) & up(q) & down(r), which is empty unless r lies in
+        up(p) & up(q): every other target is zero, and no class is built for
+        it.  For the targets read, tau_p^+ and tau_q^+ are checked on D, the
+        union of their down(r), and tau_r^- on up(p) & up(q), each also off
         its own up-set: off D tau_r^- is then a checked zero, and on D off
         up(p) & up(q) a plus class is (thom_class_paths)."""
-        rev = self.reversed_calculator()
-        below = frozenset().union(*(rev.path_counts(r) for r in targets))
-        product = self.thom_class_paths(p, below) * self.thom_class_paths(q, below)
+        self._check_vertices(p, q, *targets)
         above = frozenset(self.path_counts(p).keys() & self.path_counts(q).keys())
-        return {r: integrate(product * rev.thom_class_paths(r, above)) for r in targets}
+        read = [r for r in targets if r in above]
+        constants = dict.fromkeys(targets, Polynomial.zero(self.graph.dimension))
+        if read:
+            rev = self.reversed_calculator()
+            below = frozenset().union(*(rev.path_counts(r) for r in read))
+            product = self.thom_class_paths(p, below) * self.thom_class_paths(q, below)
+            constants.update((r, integrate(product * rev.thom_class_paths(r, above))) for r in read)
+        return constants
 
     def structure_constant(self, p: str, q: str, r: str) -> Polynomial:
         """c_pq^r alone: structure_constants(p, q, [r])."""

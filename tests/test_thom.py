@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -757,6 +758,113 @@ class TestStructureConstantRegions:
         for p, q in itertools.product(vertices, repeat=2):
             expected = {r: ThomCalculator(calc.pol).structure_constant(p, q, r) for r in vertices}
             assert calc.structure_constants(p, q, vertices) == expected
+
+
+def built_classes(calc):
+    """{("+" or "-", base)} of the engine classes a calculator has built."""
+    sides = [("+", calc), ("-", calc._memo.get(("reversed_calculator", ())))]
+    return {
+        (side, args[0])
+        for side, owner in sides
+        if owner is not None
+        for name, args in owner._memo
+        if name == "thom_class_inductive"
+    }
+
+
+def hirzebruch_graph(a, tmp_path):
+    """F_a as TestHirzebruchSurfaces in test_cli.py builds it."""
+    edges = [("s1", "s2", (1, 0)), ("s2", "s3", (a, 1)), ("s3", "s4", (-1, 0)), ("s4", "s1", (0, -1))]
+    document = {
+        "dimension": 2,
+        "vertices": ["s1", "s2", "s3", "s4"],
+        "edges": [{"from": f, "to": t, "weight": [str(c) for c in w]} for f, t, w in edges],
+    }
+    path = tmp_path / f"hirzebruch{a}.graph"
+    path.write_text(json.dumps(document))
+    return load_graph(path)
+
+
+class TestIntegralsOffTheSupports:
+    """c_pq^r and the pairing of p with q, against the localization integrals
+    of the engine's classes taken at every r and q.  tau_p^+ vanishes off
+    up(p) and tau_r^- off down(r), so the constants skip the r outside
+    up(p) & up(q), and the pairing the q outside up(p); no class is built
+    for a skipped one."""
+
+    @pytest.fixture(params=["permutahedron:3", "permutahedron:4", "complete:5", "hirzebruch:2"])
+    def case(self, request, tmp_path):
+        spec = request.param
+        graph = hirzebruch_graph(2, tmp_path) if spec == "hirzebruch:2" else build_graph(spec)
+        pairs = list(itertools.product(graph.vertices, repeat=2))
+        if spec == "permutahedron:4":
+            pairs = random.Random(2026).sample(pairs, 20)
+        return polarize(graph), pairs
+
+    def test_structure_constants_equal_the_integrals(self, case):
+        pol, pairs = case
+        oracle = ThomCalculator(pol)
+        plus, minus = oracle.thom_class_inductive, oracle.thom_class_minus
+        vertices = pol.graph.vertices
+        skipped = 0
+        for p, q in pairs:
+            calc = ThomCalculator(pol)
+            constants = calc.structure_constants(p, q, vertices)
+            assert list(constants) == list(vertices)
+            assert constants == {r: integrate(plus(p) * plus(q) * minus(r)) for r in vertices}
+            read = calc.path_counts(p).keys() & calc.path_counts(q).keys()
+            assert built_classes(calc) == {("+", p), ("+", q)} | {("-", r) for r in read}
+            skipped += len(vertices) - len(read)
+        assert skipped > 0
+
+    def test_pairings_equal_the_integrals(self, case):
+        pol, pairs = case
+        oracle = ThomCalculator(pol)
+        skipped = 0
+        for p, q in pairs:
+            calc = ThomCalculator(pol)
+            expected = integrate(oracle.thom_class_inductive(p) * oracle.thom_class_minus(q))
+            assert calc.pairing(p, q) == expected
+            if q not in calc.path_counts(p):
+                assert built_classes(calc) == set()
+                skipped += 1
+        assert skipped > 0
+
+    def test_no_target_read_builds_no_class(self, flag3_calc):
+        graph = flag3_calc.graph
+        top, one = graph.vertex_by_label("(13)"), graph.vertex_by_label("1")
+        calc = ThomCalculator(flag3_calc.pol)
+        assert calc.structure_constants(top, top, [one]) == {one: Polynomial.zero(3)}
+        assert built_classes(calc) == set()
+
+
+class TestUnknownVertices:
+    """A name that is not a vertex raises GraphError naming it, before a
+    support is read, so it is never taken for a zero."""
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_structure_constants(self, flag3_calc, position):
+        from gkmcalc.errors import GraphError
+
+        names = ["213", "132", "321"]
+        names[position] = "(12)"  # a label, not a vertex name
+        with pytest.raises(GraphError, match=r"^unknown vertex '\(12\)'$"):
+            flag3_calc.structure_constants(names[0], names[1], ["123", names[2]])
+
+    @pytest.mark.parametrize("p,q", [("nowhere", "321"), ("123", "nowhere")])
+    def test_pairing(self, flag3_calc, p, q):
+        from gkmcalc.errors import GraphError
+
+        with pytest.raises(GraphError, match=r"^unknown vertex 'nowhere'$"):
+            flag3_calc.pairing(p, q)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_thom_class_inductive(self, flag3_calc, reverse):
+        from gkmcalc.errors import GraphError
+
+        calc = flag3_calc.reversed_calculator() if reverse else flag3_calc
+        with pytest.raises(GraphError, match=r"^unknown vertex 'nowhere'$"):
+            calc.thom_class_inductive("nowhere")
 
 
 class TestWithoutConnection:

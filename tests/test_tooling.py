@@ -2,16 +2,17 @@
 
 ``perfbench/tracer.py`` wraps the functions its ``TARGETS`` table names;
 a name that no longer resolves would only fail when a traced run starts,
-and one traced pass of the ``xi-check`` workload runs the wrappers.
+and one traced pass of the ``xi-check`` workload runs the wrappers and counts
+one integral per structure constant or pairing that the supports leave.
 ``scripts/flag_products.py`` imports the package directly, so a rename in
 ``src/`` would only show when someone runs it.  A failing Hypothesis test
 must report its falsifying example under the ``pyproject.toml`` warning
 filters.  ``perfbench/reference.json``
 holds the expected output of every benchmark command, at the builders'
 default xi; every command is checked here against it, byte for byte.  The tracer's counters read
-``Polynomial.terms``, so the view it gives is checked here too.  Three
-commands dominated by rational-expression arithmetic that the reference
-does not cover are checked against the sha256 of their output.  Every
+``Polynomial.terms``, so the view it gives is checked here too.  Commands
+that the reference does not cover are checked against the sha256 of their
+output.  Every
 ``gkmcalc`` line of the README's CLI block must run and exit 0.  Every
 graph in the package is built by ``GkmGraph.from_undirected`` and no line
 of it writes into a graph's connection.
@@ -34,8 +35,11 @@ from pathlib import Path
 
 import pytest
 
+from gkmcalc.builders import build_graph
 from gkmcalc.cli import main
+from gkmcalc.graph import polarize
 from gkmcalc.symbolic import LinearForm, Polynomial
+from gkmcalc.thom import ThomCalculator
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -44,14 +48,26 @@ README = ROOT / "README.md"
 PACKAGE = ROOT / "src" / "gkmcalc"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def load_script(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-@pytest.mark.parametrize("name,target", sorted(load_tracer().TARGETS.items()))
+def integrals_read(argv):
+    """The integrals one xi-check command takes: one per r in up(p) & up(q)
+    for structconst, one per q in up(p) for each p of a pair table."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    graph = build_graph(options["--graph"])
+    calc = ThomCalculator(polarize(graph, [Fraction(x) for x in options["--xi"].split(",")]))
+    up = {p: calc.path_counts(p).keys() for p in graph.vertices}
+    if argv[0] == "structconst":
+        return len(up[graph.vertex_by_label(options["--p"])] & up[graph.vertex_by_label(options["--q"])])
+    return sum(map(len, up.values())) if argv[0] == "pair" else 0
+
+
+@pytest.mark.parametrize("name,target", sorted(load_script("perfbench_tracer", TRACER).TARGETS.items()))
 def test_tracer_target_resolves(name, target):
     # resolve the way Tracer.install does: class members through the class
     # __dict__, module-level functions through the module
@@ -72,7 +88,10 @@ def test_tracer_target_resolves(name, target):
 def test_traced_pass_counts_one_integral_per_structure_constant(tmp_path):
     # a traced pass through perfbench/child.py, so that a change which
     # breaks the tracer's wrappers fails here and not only in the benchmark;
-    # 277 integrals = 216 structure constants + 36 S_3 and 25 K_5 pairings
+    # 111 integrals = 77 of the 216 S_3 structure constants + 19 of the 36
+    # S_3 and 15 of the 25 K_5 pairings: the others are zero by support
+    workloads = load_script("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    expected = sum(map(integrals_read, workloads.commands("xi-check", 1)))
     result = subprocess.run(
         [
             sys.executable,
@@ -93,12 +112,12 @@ def test_traced_pass_counts_one_integral_per_structure_constant(tmp_path):
     assert result.returncode == 0, result.stderr
     measurement = json.loads(result.stdout.splitlines()[-1])
     assert measurement["failures"] == []
-    assert measurement["layers"]["cohomology.integrate.calls"]["value"] == 277
+    assert measurement["layers"]["cohomology.integrate.calls"]["value"] == expected
 
 
 def test_tracer_reads_polynomial_coefficients():
     # symbolic.max_coeff_bits and the term_pairs counts read Polynomial.terms
-    tracer = load_tracer()
+    tracer = load_script("perfbench_tracer", TRACER)
     poly = Polynomial(2, {(1, 0): Fraction(7, 12), (0, 2): Fraction(-5)})
     assert tracer._coeff_bits(poly) == 4  # 12 = 0b1100
     assert tracer._operand_terms(poly) == 2
@@ -128,11 +147,7 @@ def test_flag_products_script_runs():
 def test_flag_products_script_exits_1_on_a_disagreement(monkeypatch, capsys):
     # structure constants that are zero everywhere disagree with the first
     # nonzero coefficient of the expansion
-    from gkmcalc.thom import ThomCalculator
-
-    spec = importlib.util.spec_from_file_location("flag_products", ROOT / "scripts" / "flag_products.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("flag_products", ROOT / "scripts" / "flag_products.py")
     monkeypatch.setattr(
         ThomCalculator,
         "structure_constants",
@@ -188,6 +203,12 @@ def test_command_matches_benchmark_reference(command):
 RATIONAL_OUTPUTS = {
     "structconst --graph permutahedron:4 --p 2134 --q 1324": (
         "43289d290fb3bd2db466908b5e93de30af3382b73ceed81d3e61315130275448"
+    ),
+    "structconst --graph permutahedron:4 --p 2314 --q 1342": (
+        "bb9fc099dc25ecf0c7c7be2e1fb8f3bb2f6b13ce305ae220618e2d601c0258f3"
+    ),
+    "structconst --graph permutahedron:4 --p 3214 --q 1432 --format structured": (
+        "b4e00f7ce919c972ef0ecf70587cb7f9e70418ff65deeb6004f3b5cad68f225a"
     ),
     "pair --graph permutahedron:4": (
         "dcb5ee39702cb368a0ba44abf657cc3ba453e4542f062d13485aba8f1dcc6c19"
