@@ -290,7 +290,7 @@ def _connection_constant(graph: GkmGraph, eid: int, other: int, image: int) -> O
 class Polarization:
     """Orientation, indices and Morse function phi induced by a vector xi.
 
-    Built only by longest_path_morse, which checks every condition; the
+    Built by longest_path_morse, which checks every condition, or reversed; the
     pairings, sigma, phi and the ascending and descending edges at each
     vertex are read-only mappings; vertices_by_level returns one tuple, sorted
     once."""
@@ -324,7 +324,8 @@ class Polarization:
         return [v for v in self.graph.vertices if self.sigma[v] == 0]
 
     def reversed(self) -> "Polarization":
-        return longest_path_morse(self.graph, tuple(-x for x in self.xi))
+        """The polarization by -xi, from the negated pairings."""
+        return _orient(self.graph, tuple(-x for x in self.xi), {e: -v for e, v in self.pairings.items()})
 
     def critical_levels(self) -> list[Fraction]:
         return [self.phi[v] for v in self._by_level]  # phi increases along _by_level
@@ -371,12 +372,9 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
     """
     vector = rat_vector(xi)
     if len(vector) != graph.dimension:
-        raise PolarizationError(
-            f"xi has length {len(vector)}, graph dimension is {graph.dimension}"
-        )
+        raise PolarizationError(f"xi has length {len(vector)}, graph dimension is {graph.dimension}")
     # each pairing is an int dot product over the forms' and xi's denominators
     direction, scale = _int_vector(vector)
-    signs: dict[int, int] = {}
     pairings: dict[int, Fraction] = {}
     for edge in graph.edges:
         weight = edge.weight
@@ -390,16 +388,17 @@ def longest_path_morse(graph: GkmGraph, xi: Sequence[RationalLike]) -> Polarizat
                 f"not a polarization: weight of {edge.key()} pairs to zero with "
                 f"xi=({', '.join(map(format_rational, vector))})"
             )
-        signs[edge.eid] = value
         pairings[edge.eid] = Fraction(value, weight._den * scale)
-    ascending: dict[str, tuple[int, ...]] = {}
-    descending: dict[str, tuple[int, ...]] = {}
-    for v in graph.vertices:
-        ascending[v] = tuple(e for e in graph.out_edges(v) if signs[e] > 0)
-        descending[v] = tuple(e for e in graph.out_edges(v) if signs[e] < 0)
+    return _orient(graph, vector, pairings)
+
+
+def _orient(graph: GkmGraph, vector: tuple[Fraction, ...], pairings: dict[int, Fraction]) -> Polarization:
+    """The polarization by xi = vector, whose nonzero pairings are given."""
+    up = {e for e, value in pairings.items() if value > 0}
+    ascending = {v: tuple(e for e in graph.out_edges(v) if e in up) for v in graph.vertices}
+    descending = {v: tuple(e for e in graph.out_edges(v) if e not in up) for v in graph.vertices}
     sigma = {v: len(descending[v]) for v in graph.vertices}
     longest = _longest_ascending_paths(graph, ascending, descending)
-
     for comp in graph.components():
         minima = [v for v in comp if sigma[v] == 0]
         if len(minima) != 1 and len(comp) > 1:

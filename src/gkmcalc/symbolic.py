@@ -26,6 +26,7 @@ runs on ints.  Every rational value a caller sees is a `fractions.Fraction`:
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 import re
@@ -100,10 +101,11 @@ class LinearForm:
     positive shared denominator with no common factor, so equal forms store
     equal tuples and structural equality is mathematical equality.  The hash
     is computed once.  The constructor takes ints, Fractions and "p/q"
-    strings; `coeffs` is the read-only Fraction view, built on first use.
+    strings; `coeffs` is the read-only Fraction view, built on first use,
+    as are `_poly` and the `_divisor` data of `Polynomial.divide_linear`.
     """
 
-    __slots__ = ("_num", "_den", "_hash", "_coeffs", "_poly")
+    __slots__ = ("_num", "_den", "_hash", "_coeffs", "_poly", "_divisor")
 
     def __new__(cls, coeffs: Iterable[RationalLike]) -> "LinearForm":
         return LinearForm._canonical(*_int_vector(coeffs))
@@ -120,7 +122,7 @@ class LinearForm:
             den //= g
         form = object.__new__(LinearForm)
         form._num, form._den, form._hash = num, den, hash((num, den))
-        form._coeffs = form._poly = None
+        form._coeffs = form._poly = form._divisor = None
         return form
 
     def __reduce__(self):
@@ -576,57 +578,66 @@ class Polynomial:
     def divide_linear(self, form: LinearForm) -> Optional["Polynomial"]:
         """Exact quotient self/form, or None when form does not divide self.
 
-        With form = L/D for an int form L whose leading variable x_j has
-        coefficient c > 0, the numerators N are scaled by c^top (top the
-        x_j-degree of N), so every step of the sweep down the powers of x_j
-        is an exact floor division by c; only the remainder decides.
+        One pass over the dividend in descending packed-key (lex) order.
+        Let form = L/D for an int form L whose leading variable x_j has
+        coefficient c > 0, and scale the numerators N by c^top, top the
+        x_j-degree of N.  Pseudo-division (Knuth, TAOCP 4.6.1) gives
+        c^top N = Q L + R with Q and R over the ints and no x_j in R, and
+        the pair is unique.  So the largest key K left in the remainder
+        either holds x_j, K = x_j K', and its value is c Q[K'], an exact
+        floor division by c; or it is free of x_j and its value is the
+        coefficient of R there, and the pass returns None at the first such
+        nonzero value.  Subtracting Q[K'] K' L writes only keys below K,
+        since the other variables of L come after x_j.  The form keeps its
+        lead key, c and the offsets of its other terms for the next call.
         """
         if form.dim != self.dim:
             raise DimensionError("divisor dimension mismatch")
         if not self._num:
             return self
-        divisor = form.as_polynomial()
-        if not divisor._num:
-            raise ValueError("division by the zero form")
-        lead = max(divisor._num)  # the unit key of x_j
-        c = divisor._num[lead]
-        sign = 1 if c > 0 else -1
-        c *= sign
-        rest = [(key, sign * value) for key, value in divisor._num.items() if key != lead]
-        shift = lead.bit_length() - 1
-        # split the numerators into slices by the exponent of x_j
-        slices: dict[int, dict] = {}
-        for key, value in self._num.items():
-            k = key >> shift & _FIELD_MASK
-            slices.setdefault(k, {})[key - (k << shift)] = value
-        top = max(slices)
-        if top == 0:
-            return None  # self is free of x_j but form is not
-        if c != 1:
-            power = c**top
-            for part in slices.values():
-                for key in part:
-                    part[key] *= power
+        if form._divisor is None:
+            divisor = form.as_polynomial()
+            if not divisor._num:
+                raise ValueError("division by the zero form")
+            lead = max(divisor._num)  # the unit key of x_j
+            c = divisor._num[lead]
+            sign = 1 if c > 0 else -1
+            # sign L = c x_j + sum a x_i: the quotient term at K' = K - lead,
+            # times sign L, writes c at K and each a at K' x_i = K + offset
+            rest = tuple((key - lead, sign * value) for key, value in divisor._num.items() if key != lead)
+            form._divisor = (lead, sign * c, sign * divisor._den, rest, _FIELD_MASK * lead)
+        lead, c, factor, rest, field = form._divisor  # field: the bits of x_j
+        power = 1
+        if c == 1:
+            remainder = dict(self._num)
+        else:
+            power = c ** (max(key & field for key in self._num) // lead)
+            remainder = {key: value * power for key, value in self._num.items()}
+        heap = [-key for key in remainder]  # each key enters once: written keys only fall
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
         quotient: dict = {}
-        carry: dict = {}  # B_k during the downward sweep
-        for k in range(top, -1, -1):
-            part = slices.get(k, {})
-            get = part.get
-            for unit, a in rest:
-                for key, value in carry.items():
-                    key += unit
-                    part[key] = get(key, 0) - a * value
-            if not k:
-                break
-            carry = {key: value // c for key, value in part.items() if value}
-            lift = (k - 1) << shift
-            quotient.update({key + lift: value for key, value in carry.items()})
-        if any(part.values()):
-            return None
-        factor = sign * divisor._den
+        get = remainder.get
+        while heap:
+            key = -pop(heap)
+            value = remainder[key]  # read once: later writes fall below key
+            if not value:
+                continue
+            if not key & field:
+                return None
+            value //= c
+            quotient[key - lead] = value
+            for offset, a in rest:
+                low = key + offset
+                old = get(low)
+                if old is None:
+                    remainder[low] = -a * value
+                    push(heap, -low)
+                else:
+                    remainder[low] = old - a * value
         if factor != 1:
             quotient = {key: value * factor for key, value in quotient.items()}
-        return Polynomial._canonical(self.dim, quotient, self._den * c**top)
+        return Polynomial._canonical(self.dim, quotient, self._den * power)
 
     # -- rendering ----------------------------------------------------------
 

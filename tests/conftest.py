@@ -1,8 +1,9 @@
+import json
 from pathlib import Path
 
 import pytest
 
-from gkmcalc.builders import complete_graph, permutahedron
+from gkmcalc.builders import complete_graph, load_graph, permutahedron
 from gkmcalc.graph import polarize
 from gkmcalc.thom import ThomCalculator
 
@@ -32,3 +33,22 @@ def s4_calc():
 @pytest.fixture(scope="session")
 def data_dir():
     return DATA
+
+
+@pytest.fixture
+def hirzebruch(tmp_path):
+    """Builds F_a as TestHirzebruchSurfaces in test_cli.py builds it: a
+    square with weights (1,0), (a,1), (-1,0), (0,-1) and no connection."""
+
+    def build(a):
+        edges = [("s1", "s2", (1, 0)), ("s2", "s3", (a, 1)), ("s3", "s4", (-1, 0)), ("s4", "s1", (0, -1))]
+        document = {
+            "dimension": 2,
+            "vertices": ["s1", "s2", "s3", "s4"],
+            "edges": [{"from": f, "to": t, "weight": [str(c) for c in w]} for f, t, w in edges],
+        }
+        path = tmp_path / f"hirzebruch{a}.graph"
+        path.write_text(json.dumps(document))
+        return load_graph(path)
+
+    return build

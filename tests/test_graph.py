@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from gkmcalc import graph as graph_module
 from gkmcalc.builders import build_graph, complete_graph, permutahedron
 from gkmcalc.errors import GraphError, PolarizationError
 from gkmcalc.graph import (
     GkmGraph,
     OrientedEdge,
+    Polarization,
     betti,
     check_generic,
     longest_path_morse,
@@ -275,6 +277,29 @@ class TestMorse:
             for edge in graph.edges:
                 if pol.ascending(edge.eid) and calc.has_unique_path(edge.eid):
                     assert pol.sigma[edge.target] <= pol.sigma[edge.source] + 1
+
+
+class TestReversed:
+    """The polarization by -xi comes from the negated pairings of the
+    forward one; no pairing of a weight with xi is computed again."""
+
+    @pytest.mark.parametrize("spec", ["permutahedron:3", "permutahedron:4", "complete:5", "hirzebruch:2"])
+    def test_equals_the_polarization_by_minus_xi(self, spec, hirzebruch, monkeypatch):
+        graph = hirzebruch(2) if spec == "hirzebruch:2" else build_graph(spec)
+        pol = polarize(graph)
+        expected = longest_path_morse(graph, tuple(-x for x in pol.xi))
+
+        def refuse(*args):
+            raise AssertionError("reversed() computed a pairing")
+
+        # every pairing is taken in longest_path_morse, from _int_vector of xi
+        monkeypatch.setattr(graph_module, "longest_path_morse", refuse)
+        monkeypatch.setattr(graph_module, "_int_vector", refuse)
+        monkeypatch.setattr(LinearForm, "pair", refuse)
+        reverse = pol.reversed()
+        for field in dataclasses.fields(Polarization):
+            assert getattr(reverse, field.name) == getattr(expected, field.name), field.name
+        assert reverse.reversed() == pol
 
 
 class TestGenericity:

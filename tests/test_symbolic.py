@@ -77,6 +77,89 @@ class TestDividesLinear:
         with pytest.raises(ValueError):
             Polynomial.one(2).divide_linear(LinearForm.zero(2))
 
+    # leads 3, -2, 5/3, 7, 1/4, -3/2, 6, -9/5 on x1, x1, x2, x3, x1, x2, x4, x5
+    EIGHT_FORMS = [
+        LinearForm(coeffs)
+        for coeffs in (
+            [3, -1, 0, 2, 0],
+            [-2, 0, 1, 0, 5],
+            [0, "5/3", -1, 0, "1/2"],
+            [0, 0, 7, 2, -3],
+            ["1/4", 1, 1, 1, 1],
+            [0, "-3/2", 0, 4, 0],
+            [0, 0, 0, 6, -1],
+            [0, 0, 0, 0, "-9/5"],
+        )
+    ]
+
+    def test_product_of_eight_forms_divides_back_one_at_a_time(self):
+        def product(forms):
+            result = Polynomial.one(5)
+            for form in forms:
+                result = result * form
+            return result
+
+        for forms in (self.EIGHT_FORMS, self.EIGHT_FORMS[::-1]):
+            quotient = product(forms)
+            for k, form in enumerate(forms):
+                assert (quotient + 1).divide_linear(form) is None
+                assert (quotient + Fraction(-2, 7)).divide_linear(form) is None
+                quotient = quotient.divide_linear(form)
+                assert quotient == product(forms[k + 1 :])
+            assert quotient == Polynomial.one(5)
+
+    def test_lex_leading_term_free_of_the_lead_variable(self):
+        # x1^2 x3 comes first in lex order and has no x2; the rest,
+        # x1 x2 (x2 - x3), would divide by x2 - x3
+        form = LinearForm([0, 1, -1])
+        rest = Polynomial(3, {(1, 1, 0): 1}) * form
+        dividend = Polynomial(3, {(2, 0, 1): Fraction(1, 3)}) + rest
+        assert dividend.divide_linear(form) is None
+        assert ref_divide(dict(dividend.terms), form.coeffs) is None
+        assert rest.divide_linear(form) == Polynomial(3, {(1, 1, 0): 1})
+
+    def test_term_free_of_the_lead_variable_cancelled_on_the_way(self):
+        # (x2 - x3) x3: the -x3^2 term has no x2 but cancels against x3 (x2 - x3)
+        form = LinearForm([0, 2, -2])
+        dividend = Polynomial(3, {(0, 1, 1): 1, (0, 0, 2): -1})
+        assert dividend.divide_linear(form) == Polynomial(3, {(0, 0, 1): Fraction(1, 2)})
+
+    def test_needs_the_whole_power_of_the_lead(self):
+        # by 2 x1 + x2: one factor 2 short of 2^top, a floor division rounds
+        # and drops a remainder term; none of these divides
+        form = LinearForm([2, 1])
+        for terms in ({(2, 0): -1}, {(1, 1): -1, (0, 2): -1}, {(3, 0): 1, (0, 3): 1}):
+            assert Polynomial(2, terms).divide_linear(form) is None
+
+    def test_quotient_does_not_depend_on_key_insertion_order(self):
+        dividend = Polynomial(5, {})
+        for form in self.EIGHT_FORMS[:4]:
+            dividend = (dividend + 1) * form
+        terms = list(dividend.terms.items())
+        forward, backward = Polynomial(5, dict(terms)), Polynomial(5, dict(terms[::-1]))
+        assert list(forward.terms) != list(backward.terms)
+        for form in self.EIGHT_FORMS:
+            a, b = forward.divide_linear(form), backward.divide_linear(form)
+            assert a == b and hash(a) == hash(b)
+            assert a is None or a.render() == b.render()
+        assert forward.divide_linear(self.EIGHT_FORMS[3]) is not None
+
+    @pytest.mark.parametrize(
+        "form, other",
+        [(LinearForm([0, 1, -1]), LinearForm([1, 1, 0])), (LinearForm([0, -3, "1/2"]), LinearForm([2, 0, 1]))],
+    )
+    def test_dividend_unchanged(self, form, other):
+        dividend = Polynomial(3, {(2, 0, 0): Fraction(5, 2), (0, 1, 1): -1}) * form
+
+        def state():
+            return dict(dividend._num), dividend._den, dividend.render()
+
+        before = state()
+        assert dividend.divide_linear(other) is None
+        assert state() == before
+        assert dividend.divide_linear(form) is not None
+        assert state() == before
+
 
 class TestPolynomialRing:
     @given(polys2, polys2, polys2)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -772,19 +771,6 @@ def built_classes(calc):
     }
 
 
-def hirzebruch_graph(a, tmp_path):
-    """F_a as TestHirzebruchSurfaces in test_cli.py builds it."""
-    edges = [("s1", "s2", (1, 0)), ("s2", "s3", (a, 1)), ("s3", "s4", (-1, 0)), ("s4", "s1", (0, -1))]
-    document = {
-        "dimension": 2,
-        "vertices": ["s1", "s2", "s3", "s4"],
-        "edges": [{"from": f, "to": t, "weight": [str(c) for c in w]} for f, t, w in edges],
-    }
-    path = tmp_path / f"hirzebruch{a}.graph"
-    path.write_text(json.dumps(document))
-    return load_graph(path)
-
-
 class TestIntegralsOffTheSupports:
     """c_pq^r and the pairing of p with q, against the localization integrals
     of the engine's classes taken at every r and q.  tau_p^+ vanishes off
@@ -793,9 +779,9 @@ class TestIntegralsOffTheSupports:
     for a skipped one."""
 
     @pytest.fixture(params=["permutahedron:3", "permutahedron:4", "complete:5", "hirzebruch:2"])
-    def case(self, request, tmp_path):
+    def case(self, request, hirzebruch):
         spec = request.param
-        graph = hirzebruch_graph(2, tmp_path) if spec == "hirzebruch:2" else build_graph(spec)
+        graph = hirzebruch(2) if spec == "hirzebruch:2" else build_graph(spec)
         pairs = list(itertools.product(graph.vertices, repeat=2))
         if spec == "permutahedron:4":
             pairs = random.Random(2026).sample(pairs, 20)
