@@ -110,19 +110,27 @@ def cocycle_witness(
     graph: GkmGraph, values: Mapping[str, Polynomial]
 ) -> Optional[CocycleWitness]:
     """First edge violating divisibility, or None when the map is a cocycle.
-    Equal endpoint values pass without a subtraction."""
+    Edges are read in edge order.  Equal endpoint values pass without a
+    subtraction, and each (source value, target value, weight) is divided
+    once: a class takes the same value at many vertices, a graph has few
+    weights, and the first failure returns."""
     missing = set(graph.vertices) - set(values)
     if missing:
         raise CocycleError(f"values missing for vertices {sorted(missing)}")
+    passed = set()
     for edge in graph.edges:
         if edge.eid % 2 == 1:
             continue
         source, target = values[edge.source], values[edge.target]
         if source == target:
             continue
+        key = (source, target, edge.weight)
+        if key in passed:
+            continue
         difference = source - target
         if difference.divide_linear(edge.weight) is None:
             return CocycleWitness(edge.key(), edge.weight, difference)
+        passed.add(key)
     return None
 
 

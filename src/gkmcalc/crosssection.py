@@ -250,7 +250,8 @@ def transport_with_interpolants(
 
     The polynomial psi at a crossed vertex satisfies rho_{e_j}(psi) = f(v_j)
     for every descending edge e_j, and the outgoing values are
-    rho_{e_a}(psi).
+    rho_{e_a}(psi).  The flip-flops share one dict of quotients, so each
+    (difference, gap) is divided once per transport.
     """
     polarization = F.polarization
     graph = polarization.graph
@@ -261,10 +262,11 @@ def transport_with_interpolants(
     values = dict(F.values)
     interpolants: dict[str, Polynomial] = {}
     calc = ThomCalculator(polarization)
+    quotients: dict = {}
     for vertex in crossed:
         descending = polarization.descending_out(vertex)
         incoming = [values.pop(graph.reverse(e)) for e in descending]
-        psi = _flip_flop(calc, vertex, descending, incoming)
+        psi = _flip_flop(calc, vertex, descending, incoming, quotients)
         for down, value in zip(descending, incoming):
             if rho_poly(psi, graph.weight(down), xi) != value:
                 raise InternalConsistencyError(

@@ -329,10 +329,11 @@ class Polynomial:
     `_FIELD`).  `terms` is the read-only {exponent tuple: Fraction} view,
     built on first use.  No exponent of a single variable may exceed
     2**15 - 1: the constructor, products and substitutions raise
-    OverflowError past it.
+    OverflowError past it.  The hash is computed on first use and kept, so
+    nothing may write into a built polynomial's `_num`.
     """
 
-    __slots__ = ("dim", "_num", "_den", "_view")
+    __slots__ = ("dim", "_num", "_den", "_view", "_hash")
 
     def __init__(self, dim: int, terms: Optional[dict] = None):
         coeffs = {}
@@ -344,7 +345,7 @@ class Polynomial:
         self.dim = dim
         self._num = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self._den = den
-        self._view = None
+        self._view = self._hash = None
 
     @staticmethod
     def _canonical(dim: int, num: dict, den: int) -> "Polynomial":
@@ -358,7 +359,7 @@ class Polynomial:
                 den //= g
                 num = {key: value // g for key, value in num.items()}
         poly = object.__new__(Polynomial)
-        poly.dim, poly._num, poly._den, poly._view = dim, num, den, None
+        poly.dim, poly._num, poly._den, poly._view, poly._hash = dim, num, den, None, None
         return poly
 
     @property
@@ -501,7 +502,9 @@ class Polynomial:
         return self.dim == other.dim and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash((self.dim, self._den, frozenset(self._num.items())))
+        if self._hash is None:
+            self._hash = hash((self.dim, self._den, frozenset(self._num.items())))
+        return self._hash
 
     # -- evaluation and substitution -------------------------------------
 
@@ -590,11 +593,10 @@ class Polynomial:
         nonzero value.  Subtracting Q[K'] K' L writes only keys below K,
         since the other variables of L come after x_j.  The form keeps its
         lead key, c and the offsets of its other terms for the next call.
+        The zero form raises ValueError, whatever the dividend.
         """
         if form.dim != self.dim:
             raise DimensionError("divisor dimension mismatch")
-        if not self._num:
-            return self
         if form._divisor is None:
             divisor = form.as_polynomial()
             if not divisor._num:
@@ -606,6 +608,8 @@ class Polynomial:
             # times sign L, writes c at K and each a at K' x_i = K + offset
             rest = tuple((key - lead, sign * value) for key, value in divisor._num.items() if key != lead)
             form._divisor = (lead, sign * c, sign * divisor._den, rest, _FIELD_MASK * lead)
+        if not self._num:
+            return self
         lead, c, factor, rest, field = form._divisor  # field: the bits of x_j
         power = 1
         if c == 1:

@@ -2,7 +2,8 @@
 
 Each route has one job.  Classes come from one engine, thom_class_inductive
 (Newton interpolation through sigma_base + 1 descending edges of each
-vertex, zero-valued neighbours first, exact division only); tau^-,
+vertex, zero-valued neighbours first, exact division only, each distinct
+projection and divided difference of a class computed once); tau^-,
 pairings, the Thom basis and expansions in it all use it.  Its step, the
 flip-flop at one vertex, is _flip_flop, which cross-section transport
 shares on every descending edge.
@@ -284,22 +285,34 @@ class ThomCalculator:
         )
 
     @_memoized
-    def _hat(self, eid: int) -> LinearForm:
-        """The node ahat_e = alpha_e/alpha_e(xi)."""
-        return self.graph.weight(eid).scale(1 / self.pol.pairings[eid])
+    def _hat(self, weight: LinearForm) -> LinearForm:
+        """The node ahat_e = alpha_e/alpha_e(xi) of the edges of weight
+        alpha_e, one object per weight."""
+        return weight.scale(1 / weight.pair(self.pol.xi))
 
     @_memoized
-    def _gap(self, first: int, second: int) -> LinearForm:
-        return self._hat(first) - self._hat(second)
+    def _gap(self, first: LinearForm, second: LinearForm) -> LinearForm:
+        """The difference of two nodes, one object per distinct gap, so each
+        gap builds its division data once."""
+        return self._interned(first - second)
+
+    @_memoized
+    def _interned(self, form: LinearForm) -> LinearForm:
+        """The first form equal to `form` that this calculator met."""
+        return form
 
     @_memoized
     def _iota_step(self, first: int, second: int) -> RationalExpr:
-        return (-self.iota(second)).div_form(self._gap(first, second))
+        weight = self.graph.weight
+        gap = self._gap(self._hat(weight(first)), self._hat(weight(second)))
+        return (-self.iota(second)).div_form(gap)
 
     @_memoized
     def _iota_close(self, eid: int) -> RationalExpr:
         return RationalExpr.of_forms(
-            self.nu_factors(self.graph.edges[eid].target), [self._hat(eid)], self.graph.dimension
+            self.nu_factors(self.graph.edges[eid].target),
+            [self._hat(self.graph.weight(eid))],
+            self.graph.dimension,
         )
 
     @_memoized
@@ -402,6 +415,11 @@ class ThomCalculator:
         cocycle along every edge, the skipped ones included, and
         homogeneous of degree sigma_base.  A base that is not a vertex
         raises GraphError.
+
+        A class takes the same value at many vertices and a graph has few
+        weights, so each (lower value, weight) is projected once and each
+        (difference, gap) of the flip-flops divided once, from dicts that
+        live for this class only.
         """
         self._check_vertices(base)
         graph, pol = self.graph, self.pol
@@ -411,6 +429,19 @@ class ThomCalculator:
         reached = {base}
         base_level = pol.level(base)
         nodes = pol.sigma[base] + 1
+        projections: dict[tuple[Polynomial, LinearForm], Polynomial] = {}
+        quotients: dict[tuple[Polynomial, LinearForm], Polynomial] = {}
+
+        def project(eid: int) -> Polynomial:
+            # rho_e is a ring homomorphism: a zero lower value maps to zero
+            value = values[graph.edges[eid].target]
+            if value.is_zero:
+                return value
+            key = (value, graph.weight(eid))
+            if key not in projections:
+                projections[key] = rho_poly(value, key[1], pol.xi)
+            return projections[key]
+
         for vertex in pol.vertices_by_level():
             if pol.level(vertex) <= base_level:
                 continue
@@ -420,13 +451,8 @@ class ThomCalculator:
                 chosen = sorted(
                     descending, key=lambda e: not values[graph.edges[e].target].is_zero
                 )[:nodes]
-                # rho_e is a ring homomorphism: a zero lower value maps to zero
-                lower = [(e, values[graph.edges[e].target]) for e in chosen]
-                incoming = [
-                    value if value.is_zero else rho_poly(value, graph.weight(e), pol.xi)
-                    for e, value in lower
-                ]
-                values[vertex] = _flip_flop(self, vertex, chosen, incoming)
+                incoming = [project(e) for e in chosen]
+                values[vertex] = _flip_flop(self, vertex, chosen, incoming, quotients)
         witness = cocycle_witness(graph, values)
         if witness is not None:
             raise InternalConsistencyError(
@@ -554,7 +580,11 @@ def _carry(
 
 
 def _flip_flop(
-    calc: ThomCalculator, vertex: str, descending: Sequence[int], values: Sequence[Polynomial]
+    calc: ThomCalculator,
+    vertex: str,
+    descending: Sequence[int],
+    values: Sequence[Polynomial],
+    quotients: Optional[dict[tuple[Polynomial, LinearForm], Polynomial]] = None,
 ) -> Polynomial:
     """The flip-flop psi at a vertex: rho_j(psi) = values[j] on the given
     descending edges j, as the Newton form through the nodes
@@ -562,22 +592,31 @@ def _flip_flop(
     are exact quotients by differences of nodes, so no rational expression
     appears; an inexact one raises ReductionError naming both edges.  A zero
     numerator stays zero, undivided.  The nodes and their differences come
-    from the calculator, once per edge and pair of edges."""
+    from the calculator, once per weight and pair of nodes.  Each quotient
+    is kept in `quotients` under its (difference, gap), so a caller that
+    passes one dict to several flip-flops divides each pair once."""
+    if quotients is None:
+        quotients = {}
     graph = calc.graph
-    nodes = [calc._hat(e) for e in descending]
+    nodes = [calc._hat(graph.weight(e)) for e in descending]
     table = list(values)
     # after round i, table[j] is the divided difference over nodes j-i..j
     for i in range(1, len(nodes)):
         for j in range(len(nodes) - 1, i - 1, -1):
             difference = table[j] - table[j - 1]
             if not difference.is_zero:
-                difference = difference.divide_linear(calc._gap(descending[j], descending[j - i]))
-                if difference is None:
-                    raise ReductionError(
-                        f"divided difference at {graph.label(vertex)} along "
-                        f"{graph.edges[descending[j - i]].key()} and "
-                        f"{graph.edges[descending[j]].key()} is not exact"
-                    )
+                key = (difference, calc._gap(nodes[j], nodes[j - i]))
+                quotient = quotients.get(key)
+                if quotient is None:
+                    quotient = difference.divide_linear(key[1])
+                    if quotient is None:
+                        raise ReductionError(
+                            f"divided difference at {graph.label(vertex)} along "
+                            f"{graph.edges[descending[j - i]].key()} and "
+                            f"{graph.edges[descending[j]].key()} is not exact"
+                        )
+                    quotients[key] = quotient
+                difference = quotient
             table[j] = difference
     value = table[-1]
     for i in range(len(nodes) - 2, -1, -1):

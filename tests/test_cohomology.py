@@ -46,6 +46,26 @@ class TestCocycle:
         assert witness is not None
         assert witness.edge_key == "p1>p2"
 
+    def test_repeated_keys_keep_the_first_failing_edge(self, flag3, monkeypatch):
+        # edges 123>213 and 132>312 share the passing key (A, B, x2 - x1),
+        # 123>321 and 132>231 the passing key (A, C, x3 - x1), and 213>231
+        # and 312>321 the failing key (B, C, x3 - x2): three divisions, and
+        # the witness is the first failing edge in edge order
+        a = Polynomial.zero(3)
+        b, c = LinearForm([-1, 1, 0]).as_polynomial(), LinearForm([-2, 0, 2]).as_polynomial()
+        label = flag3.vertex_by_label
+        values = {label("1"): a, label("(23)"): a, label("(12)"): b, label("(312)"): b}
+        values.update({label("(231)"): c, label("(13)"): c})
+        divide = Polynomial.divide_linear
+        calls = []
+        monkeypatch.setattr(
+            Polynomial, "divide_linear", lambda poly, form: calls.append(form) or divide(poly, form)
+        )
+        witness = cocycle_witness(flag3, values)
+        assert witness.edge_key == "213>231"
+        assert witness.difference == b - c
+        assert calls == [LinearForm([-1, 1, 0]), LinearForm([-1, 0, 1]), LinearForm([0, -1, 1])]
+
     def test_missing_vertex_rejected(self):
         graph = complete_graph(3)
         with pytest.raises(CocycleError):

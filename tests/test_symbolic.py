@@ -77,6 +77,13 @@ class TestDividesLinear:
         with pytest.raises(ValueError):
             Polynomial.one(2).divide_linear(LinearForm.zero(2))
 
+    def test_zero_form_rejected_for_zero_dividend(self):
+        with pytest.raises(ValueError, match="^division by the zero form$"):
+            Polynomial.zero(2).divide_linear(LinearForm.zero(2))
+
+    def test_zero_dividend_over_a_form_is_zero(self):
+        assert Polynomial.zero(2).divide_linear(X1 - X2).is_zero
+
     # leads 3, -2, 5/3, 7, 1/4, -3/2, 6, -9/5 on x1, x1, x2, x3, x1, x2, x4, x5
     EIGHT_FORMS = [
         LinearForm(coeffs)
@@ -194,6 +201,17 @@ class TestPolynomialRing:
     def test_no_stored_zeros(self):
         p = (X1 + X2).as_polynomial() - (X1 + X2).as_polynomial()
         assert p.terms == {}
+
+    @given(polys2, polys2)
+    @settings(max_examples=30, deadline=None)
+    def test_kept_hash_matches_a_fresh_one(self, a, b):
+        # the hash is kept after the first call; an equal polynomial built
+        # another way, through its terms or a sum, hashes the same
+        product = a * b
+        first = hash(product)
+        assert hash(product) == first
+        assert hash(Polynomial(2, dict(product.terms))) == first
+        assert hash(b * a + Polynomial.zero(2)) == first
 
 
 class TestRho:

@@ -562,12 +562,13 @@ class TestThomClassInductive:
     def test_rho_poly_calls_per_vertex(self, monkeypatch):
         # each reached vertex above the base maps the nonzero ones among its
         # first sigma_base + 1 lower values, the zero ones sorted first; a
-        # zero lower value maps to zero without rho_poly
+        # zero lower value maps to zero without rho_poly, and each
+        # (lower value, weight) of one class is mapped once
         inputs = []
         monkeypatch.setattr(
             thom_module,
             "rho_poly",
-            lambda poly, *args: inputs.append(poly) or rho_poly(poly, *args),
+            lambda poly, weight, xi: inputs.append((poly, weight)) or rho_poly(poly, weight, xi),
         )
         calc = ThomCalculator(polarize(permutahedron(4)))
         graph, pol = calc.graph, calc.pol
@@ -575,17 +576,80 @@ class TestThomClassInductive:
         for base in pol.vertices_by_level():
             del inputs[:]
             values = calc.thom_class_inductive(base).values
-            calls = 0
+            pairs = set()
             for vertex in calc.path_counts(base):
                 if vertex == base:
                     continue
-                lower = [values[graph.edges[e].target] for e in pol.descending_out(vertex)]
+                lower = [(values[graph.edges[e].target], graph.weight(e)) for e in pol.descending_out(vertex)]
+                nonzero = [pair for pair in lower if not pair[0].is_zero]
                 used = min(len(lower), pol.sigma[base] + 1)
-                calls += max(0, used - sum(value.is_zero for value in lower))
-            assert not any(poly.is_zero for poly in inputs)
-            assert len(inputs) == calls
-            total += calls
-        assert total == 195  # 545 with the zero inputs, 778 through every descending edge
+                pairs.update(nonzero[: max(0, used - (len(lower) - len(nonzero)))])
+            assert len(inputs) == len(pairs)
+            assert set(inputs) == pairs
+            total += len(pairs)
+        # 195 once per vertex, 545 with the zero inputs, 778 through every
+        # descending edge
+        assert total == 107
+
+    # all classes together; one division per step and per edge made 942 on
+    # permutahedron:4, and complete:5 and F_2 repeat no pair
+    @pytest.mark.parametrize("spec, total", [("permutahedron:4", 463), ("complete:5", 40), ("F_2", 9)])
+    def test_divide_linear_calls_per_class(self, spec, total, hirzebruch, monkeypatch):
+        # one division per distinct (difference, gap) in the flip-flops of a
+        # class, and per distinct (source value, target value, weight) on
+        # the edges with unequal endpoint values in its cocycle check
+        graph = hirzebruch(2) if spec == "F_2" else build_graph(spec)
+        divide = Polynomial.divide_linear
+        calls, flips = [], []
+        monkeypatch.setattr(
+            Polynomial, "divide_linear", lambda poly, form: calls.append((poly, form)) or divide(poly, form)
+        )
+        monkeypatch.setattr(
+            thom_module,
+            "_flip_flop",
+            lambda calc, vertex, descending, values, quotients: (
+                flips.append((descending, values)) or _flip_flop(calc, vertex, descending, values, quotients)
+            ),
+        )
+        calc = ThomCalculator(polarize(graph))
+        xi = calc.pol.xi
+        counted = 0
+        for base in calc.pol.vertices_by_level():
+            del calls[:], flips[:]
+            values = calc.thom_class_inductive(base).values
+            steps = set()
+            for descending, incoming in flips:
+                nodes = [graph.weight(e).scale(1 / graph.weight(e).pair(xi)) for e in descending]
+                table = list(incoming)
+                for i in range(1, len(nodes)):
+                    for j in range(len(nodes) - 1, i - 1, -1):
+                        difference = table[j] - table[j - 1]
+                        if not difference.is_zero:
+                            gap = nodes[j] - nodes[j - i]
+                            steps.add((difference, gap))
+                            difference = divide(difference, gap)
+                        table[j] = difference
+            checks = {
+                (values[edge.source], values[edge.target], edge.weight)
+                for edge in graph.edges
+                if edge.eid % 2 == 0 and values[edge.source] != values[edge.target]
+            }
+            assert len(calls) == len(steps) + len(checks)
+            counted += len(calls)
+        assert counted == total
+
+    def test_equal_gaps_are_one_object(self, s4_calc):
+        # pairs of descending edges with equal node differences share one
+        # gap, which builds its division data once
+        graph, pol = s4_calc.graph, s4_calc.pol
+        gaps, pairs = {}, 0
+        for vertex in graph.vertices:
+            for first, second in itertools.permutations(pol.descending_out(vertex), 2):
+                hats = (s4_calc._hat(graph.weight(first)), s4_calc._hat(graph.weight(second)))
+                gap = s4_calc._gap(*hats)
+                assert gaps.setdefault(gap, gap) is gap
+                pairs += 1
+        assert len(gaps) < pairs
 
     def test_inhomogeneous_class_names_the_base(self, monkeypatch):
         # a flip-flop off by a constant is not homogeneous; with the cocycle

@@ -15,7 +15,8 @@ that the reference does not cover are checked against the sha256 of their
 output.  Every
 ``gkmcalc`` line of the README's CLI block must run and exit 0.  Every
 graph in the package is built by ``GkmGraph.from_undirected`` and no line
-of it writes into a graph's connection.
+of it writes into a graph's connection, nor into the term numerators of a
+built polynomial or linear form, whose hash is kept.
 """
 
 import ast
@@ -231,6 +232,9 @@ RATIONAL_OUTPUTS = {
     "thom --graph permutahedron:5 --vertex 21345 --minus": (
         "ea772796d3f18f6ceb8dfd51b8fedf7f62047a6e9e2f0ff5f263f2662d5e1695"
     ),
+    "table --graph permutahedron:5": (
+        "191c9784d3a107902ce9b29b69ac13153b32935663d2fb8c8e298f49ae6c367d"
+    ),
 }
 
 
@@ -289,3 +293,44 @@ def test_graphs_are_built_one_way(path):
                 assert not (isinstance(target, ast.Subscript) and is_connection(target.value)), (
                     f"{where}: assigns into a connection"
                 )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_built_polynomials_are_not_written(path):
+    # a polynomial or form keeps its hash after the first call, so its term
+    # numerators `_num` are set by its constructors and never written after
+    tree = ast.parse(path.read_text())
+    constructors = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in ("Polynomial", "LinearForm"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name in ("__init__", "__new__", "_canonical"):
+                    constructors.update(id(inner) for inner in ast.walk(method))
+
+    def is_num(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_num"
+
+    def flat(targets):
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                yield from flat(target.elts)
+            else:
+                yield target
+
+    mutators = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for target in flat(targets):
+                assert not (isinstance(target, ast.Subscript) and is_num(target.value)), (
+                    f"{where}: writes into a built _num"
+                )
+                assert not is_num(target) or id(node) in constructors, f"{where}: sets _num outside a constructor"
+        if isinstance(node, ast.Call):
+            callee = node.func
+            assert not (isinstance(callee, ast.Attribute) and callee.attr in mutators and is_num(callee.value)), (
+                f"{where}: changes a built _num"
+            )
+            name = callee.id if isinstance(callee, ast.Name) else None
+            assert not (name == "_add_into" and node.args and is_num(node.args[0])), f"{where}: adds into a built _num"
