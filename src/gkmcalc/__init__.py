@@ -11,15 +11,12 @@ from .builders import (
     complete_graph_on_points,
     load_graph,
     permutahedron,
-    save_graph,
 )
 from .cohomology import (
     CohomologyClass,
     CrossSectionClass,
     constant_class,
-    edge_class,
     integrate,
-    integrate_cross_section,
     kirwan,
 )
 from .crosssection import (
@@ -40,13 +37,7 @@ from .graph import (
     longest_path_morse,
     polarize,
     search_polarization,
-    totally_geodesic_subgraph,
     validate,
-)
-from .interpolation import (
-    elementary_symmetric,
-    lagrange_interpolate,
-    vandermonde_inverse,
 )
 from .symbolic import LinearForm, Polynomial, RationalExpr
 from .thom import ThomCalculator

@@ -22,8 +22,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .errors import FormatError, GraphError
-from .graph import GkmGraph, _connection_constant, _validate_connection, validate_axial
-from .symbolic import LinearForm, RationalLike, format_rational, rat_vector
+from .graph import GkmGraph, _connection_constant
+from .symbolic import LinearForm, RationalLike, rat_vector
 
 
 def complete_graph_on_points(
@@ -141,44 +141,6 @@ def _reflection_rule(graph: GkmGraph) -> dict[tuple[int, int], int]:
 # the on-disk format
 
 
-def graph_to_document(graph: GkmGraph) -> dict:
-    """Canonical JSON-ready document; one record per undirected edge."""
-    edges = []
-    for edge in graph.edges:
-        if edge.eid % 2 == 0:
-            edges.append(
-                {
-                    "from": edge.source,
-                    "to": edge.target,
-                    "weight": [format_rational(c) for c in edge.weight.coeffs],
-                }
-            )
-    connection = {
-        f"{graph.edges[e].key()}|{graph.edges[other].key()}": graph.edges[image].key()
-        for (e, other), image in sorted(graph.connection.items())
-    }
-    document = {
-        "dimension": graph.dimension,
-        "valence": graph.valence,
-        "vertices": list(graph.vertices),
-        "edges": edges,
-        "connection": connection,
-    }
-    if graph.labels:
-        document["labels"] = dict(graph.labels)
-    if graph.default_xi is not None:
-        document["xi"] = [format_rational(c) for c in graph.default_xi]
-    return document
-
-
-def dumps_graph(graph: GkmGraph) -> str:
-    return json.dumps(graph_to_document(graph), indent=2, sort_keys=True) + "\n"
-
-
-def save_graph(graph: GkmGraph, path: Union[str, Path]) -> None:
-    Path(path).write_text(dumps_graph(graph))
-
-
 def _parse_vector(raw, dim: int, where: str) -> tuple[Fraction, ...]:
     if not isinstance(raw, list) or len(raw) != dim:
         raise FormatError(f"{where} must be a list of {dim} rationals")
@@ -239,12 +201,8 @@ def graph_from_document(document: dict) -> GkmGraph:
     except GraphError as exc:
         raise FormatError(str(exc)) from exc
 
-    # validate in two steps: deriving the connection needs valid weights
-    report = validate_axial(graph)
-    if report.ok:
-        _validate_connection(graph, report)  # the first read of graph.connection
-    if not report.ok:
-        raise FormatError("graph fails validation:\n" + str(report))
+    if not graph.validation.ok:  # the first read of graph.connection
+        raise FormatError("graph fails validation:\n" + str(graph.validation))
     return graph
 
 

@@ -31,7 +31,7 @@ from .cohomology import CohomologyClass, cocycle_witness, integrate
 from .crosssection import chamber_levels, compose_transfer, crossed_vertices
 from .demo import run_demo
 from .errors import GkmCalcError, InternalConsistencyError, PolarizationError
-from .graph import GkmGraph, Polarization, betti, polarize, validate
+from .graph import GkmGraph, Polarization, betti, polarize
 from .render import _layout_lines, basis_renderer, parse_polynomial
 from .symbolic import Polynomial, default_names, format_rational, rat
 from .thom import ThomCalculator
@@ -127,7 +127,7 @@ def cmd_validate(args) -> int:
     except GkmCalcError as exc:  # a load failure: one violation per line of its message
         violations = str(exc).splitlines()
     else:
-        violations = validate(graph).violations
+        violations = graph.validation.violations  # a graph file's report, kept from its load
     if not violations:
         summary = (
             f"[OK] {args.graph}: {len(graph.vertices)} vertices, valence {graph.valence}, "

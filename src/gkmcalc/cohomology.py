@@ -15,19 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import CocycleError, GraphError, PolarizationError, ReductionError
 from .graph import GkmGraph, Polarization
-from .symbolic import (
-    LinearForm,
-    Polynomial,
-    RationalExpr,
-    RationalLike,
-    rat,
-    rho_form,
-    rho_poly,
-)
+from .symbolic import LinearForm, Polynomial, RationalExpr, RationalLike, rat, rho_poly
 
 
 @dataclass(frozen=True)
@@ -51,9 +43,6 @@ class CohomologyClass:
 
     def __getitem__(self, vertex: str) -> Polynomial:
         return self.values[vertex]
-
-    def support(self) -> tuple[str, ...]:
-        return tuple(v for v in self.graph.vertices if not self.values[v].is_zero)
 
     def __mul__(self, other) -> "CohomologyClass":
         if isinstance(other, CohomologyClass):
@@ -137,58 +126,20 @@ def cocycle_witness(
 def integrate(f: CohomologyClass) -> Polynomial:
     """Localization integral: sum over vertices of value / product of weights.
 
-    The rational sum collapses to a polynomial exactly when the input
-    satisfies the cocycle condition; failure to reduce raises and names the
-    condition.
+    The nonzero terms are added one RationalExpr at a time (the Euler
+    classes of K_n share few factors, so one common denominator would raise
+    the numerators' degree).  The rational sum collapses to a polynomial
+    exactly when the input satisfies the cocycle condition; failure to
+    reduce raises and names the condition.
     """
     graph = f.graph
-    return _localization_sum(
-        graph.dimension,
-        ((f.values[v], map(graph.weight, graph.out_edges(v)), 1) for v in graph.vertices),
-        "localization sum did not reduce to a polynomial; input is not a cocycle",
-    )
-
-
-def _localization_sum(
-    dim: int, terms: Iterable[tuple[Polynomial, Iterable[LinearForm], RationalLike]], failure: str
-) -> Polynomial:
-    """Sum of value / (scalar * product of forms) over the nonzero terms,
-    one RationalExpr at a time (the Euler classes of K_n share few factors,
-    so one common denominator would raise the numerators' degree); a sum
-    that is not a polynomial raises ReductionError(failure)."""
-    total = RationalExpr.zero(dim)
-    for value, forms, scalar in terms:
-        if value.is_zero:
-            continue
-        term = RationalExpr.make(value, forms)
-        total = total + (term if scalar == 1 else term.div_scalar(scalar))
+    total = RationalExpr.zero(graph.dimension)
+    for v in graph.vertices:
+        if not f.values[v].is_zero:
+            total = total + RationalExpr.make(f.values[v], map(graph.weight, graph.out_edges(v)))
     if not total.is_polynomial:
-        raise ReductionError(failure)
+        raise ReductionError("localization sum did not reduce to a polynomial; input is not a cocycle")
     return total.to_polynomial()
-
-
-def edge_class(graph: GkmGraph, eid: int) -> CohomologyClass:
-    """Thom class of the single-edge subgraph: products of the other weights.
-
-    Value at the source is the product of the weights of the other edges
-    there, similarly at the target, zero elsewhere; homogeneous of degree
-    d - 1.
-    """
-    edge = graph.edges[eid]
-    dim = graph.dimension
-    values = {v: Polynomial.zero(dim) for v in graph.vertices}
-    values[edge.source] = Polynomial.product_of_forms(
-        (graph.weight(e) for e in graph.out_edges(edge.source) if e != eid), dim
-    )
-    values[edge.target] = Polynomial.product_of_forms(
-        (
-            graph.weight(e)
-            for e in graph.out_edges(edge.target)
-            if e != edge.reverse_id
-        ),
-        dim,
-    )
-    return CohomologyClass(graph, values)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +161,6 @@ class CrossSectionClass:
     @property
     def graph(self) -> GkmGraph:
         return self.polarization.graph
-
-    def cut_edges(self) -> tuple[int, ...]:
-        return tuple(sorted(self.values))
 
     def __getitem__(self, eid: int) -> Polynomial:
         return self.values[eid]
@@ -279,31 +227,3 @@ def kirwan(f: CohomologyClass, polarization: Polarization, c: RationalLike) -> C
             )
         values[eid] = below
     return CrossSectionClass(polarization, rat(c), values)
-
-
-def integrate_cross_section(F: CrossSectionClass) -> Polynomial:
-    """Integration over a cross-section; lands in the xi-annihilator subring.
-
-    The volume at a cut edge is the pairing of the edge weight with xi (the
-    multiplicity of the reduced point) times the restriction of the edge's
-    Thom class there: the product of the projections of the other weights
-    at the edge's source.  With this normalization the integral of the
-    restriction of tau_p^+ tau_q^- across a unique-path edge is the local
-    intersection number Theta_pq / alpha_e(xi).
-    """
-    polarization = F.polarization
-    graph, xi = polarization.graph, polarization.xi
-
-    def volume_factors(eid: int) -> Iterator[LinearForm]:
-        edge = graph.edges[eid]
-        others = (e for e in graph.out_edges(edge.source) if e != eid)
-        return (rho_form(graph.weight(e), edge.weight, xi) for e in others)
-
-    return _localization_sum(
-        graph.dimension,
-        (
-            (F.values[eid], volume_factors(eid), polarization.pairings[eid])
-            for eid in F.cut_edges()
-        ),
-        "cross-section integral did not reduce; class is outside the admitted image",
-    )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .builders import complete_graph, permutahedron
-from .cohomology import kirwan
+from .cohomology import constant_class, kirwan
 from .crosssection import chamber_levels, compose_transfer, transport_class
 from .graph import polarize
 from .symbolic import LinearForm, Polynomial, RationalExpr
@@ -157,8 +157,7 @@ def check_minimum_class() -> CheckResult:
         calc = ThomCalculator(pol)
         bottom = pol.minimum_vertices()[0]
         tau = calc.thom_class_paths(bottom)
-        one = Polynomial.one(graph.dimension)
-        if any(tau.values[v] != one for v in graph.vertices):
+        if tau != constant_class(graph):
             return CheckResult("minimum class", False, f"{spec}: tau not identically 1")
         levels = chamber_levels(pol)
         matrix = compose_transfer(pol, levels[1], levels[-1])

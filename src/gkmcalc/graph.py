@@ -64,6 +64,11 @@ class GkmGraph:
         self._vertex_set = set(self.vertices)
         if len(self._vertex_set) != len(self.vertices):
             raise GraphError("duplicate vertex names")
+        named: dict[str, str] = {}  # label -> the vertex it names
+        for vertex, label in self.labels.items():
+            other = label if label in self._vertex_set else named.setdefault(label, vertex)
+            if other != vertex:
+                raise GraphError(f"label {label!r} of {vertex} also names {other}")
         self._out: dict[str, list[int]] = {v: [] for v in self.vertices}
         self._by_endpoints: dict[tuple[str, str], int] = {}
         for edge in self.edges:
@@ -105,6 +110,12 @@ class GkmGraph:
         rule (a function of the graph) that the constructor was given."""
         rule = self._connection
         return rule(self) if callable(rule) else dict(rule or {})
+
+    @functools.cached_property
+    def validation(self) -> "ValidationReport":
+        """validate(self), run on first read, so a loaded graph file is
+        checked once by its loader and the validate command alike."""
+        return validate(self)
 
     @property
     def valence(self) -> int:
@@ -189,9 +200,12 @@ class ValidationReport:
 
 
 def validate(graph: GkmGraph) -> ValidationReport:
-    """Check every structural axiom; failures become report entries."""
+    """Check every structural axiom; failures become report entries.  The
+    connection is checked only when the weights pass, since the file
+    loader's rule derives it from them."""
     report = validate_axial(graph)
-    _validate_connection(graph, report)
+    if report.ok:
+        _validate_connection(graph, report)
     return report
 
 
@@ -492,69 +506,3 @@ def search_polarization(graph: GkmGraph) -> tuple[Fraction, ...]:
     raise PolarizationError(
         f"no generic polarization with integer entries of max-norm <= {max_norm}"
     )
-
-
-# ---------------------------------------------------------------------------
-# totally geodesic subgraphs
-
-
-def _row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gaussian elimination over Q; returns the nonzero reduced rows."""
-    matrix = [row[:] for row in rows]
-    pivots = []
-    col_count = len(matrix[0]) if matrix else 0
-    pivot_row = 0
-    for col in range(col_count):
-        pivot = None
-        for r in range(pivot_row, len(matrix)):
-            if matrix[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
-        scale = matrix[pivot_row][col]
-        matrix[pivot_row] = [value / scale for value in matrix[pivot_row]]
-        for r in range(len(matrix)):
-            if r != pivot_row and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(matrix):
-            break
-    return [row for row in matrix[:pivot_row]]
-
-
-def in_span(form: LinearForm, basis_rows: list[list[Fraction]]) -> bool:
-    if form.is_zero:
-        return True
-    augmented = _row_reduce(basis_rows + [list(form.coeffs)])
-    return len(augmented) == len(basis_rows)
-
-
-def totally_geodesic_subgraph(graph: GkmGraph, subspace: Sequence[LinearForm]) -> GkmGraph:
-    """Subgraph of edges whose weights lie in the span of the given forms.
-
-    The result is closed under the restricted connection and inherits the
-    axial function; isolated vertices are dropped.  It may be disconnected
-    or edgeless, and its valence is uniform on each connected component.
-    """
-    basis = _row_reduce([list(f.coeffs) for f in subspace if not f.is_zero])
-    keep = {edge.eid for edge in graph.edges if in_span(edge.weight, basis)}
-    if any(graph.reverse(eid) not in keep for eid in keep):
-        raise GraphError("edge kept without its reversal; weights inconsistent")
-    # the k-th kept edge of even id becomes edge 2k, its reversal 2k + 1
-    kept = [edge for edge in graph.edges[::2] if edge.eid in keep]
-    new_id = {edge.eid + side: 2 * k + side for k, edge in enumerate(kept) for side in (0, 1)}
-    connection = {}
-    for (eid, other), image in graph.connection.items():
-        if not {eid, other} <= keep or graph.edges[eid].source != graph.edges[other].source:
-            continue
-        if image not in keep:
-            raise GraphError("connection leaves the weight subspace; subgraph not totally geodesic")
-        connection[new_id[eid], new_id[other]] = new_id[image]
-    vertices = [v for v in graph.vertices if any(e in keep for e in graph.out_edges(v))]
-    labels = {v: graph.labels[v] for v in vertices if v in graph.labels}
-    undirected = [(edge.source, edge.target, edge.weight) for edge in kept]
-    return GkmGraph.from_undirected(graph.dimension, vertices, undirected, connection, labels)

@@ -388,11 +388,6 @@ class Polynomial:
         return Polynomial.constant(1, dim)
 
     @staticmethod
-    def variable(index: int, dim: int) -> "Polynomial":
-        expo = tuple(1 if i == index else 0 for i in range(dim))
-        return Polynomial(dim, {expo: ONE})
-
-    @staticmethod
     def product_of_forms(forms: Iterable[LinearForm], dim: int) -> "Polynomial":
         return RationalExpr.of_forms(forms, (), dim).num
 
@@ -507,20 +502,6 @@ class Polynomial:
         return self._hash
 
     # -- evaluation and substitution -------------------------------------
-
-    def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Evaluate at a rational point."""
-        if len(point) != self.dim:
-            raise DimensionError(f"point of length {len(point)} for dimension {self.dim}")
-        values = rat_vector(point)
-        total = ZERO
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, expo):
-                if e:
-                    term *= v**e
-            total += term
-        return total
 
     def substitute(self, forms: Sequence[LinearForm]) -> "Polynomial":
         """Ring homomorphism sending x_i to forms[i], by Horner's rule in

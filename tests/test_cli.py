@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gkmcalc import builders
+from gkmcalc import graph as graph_module
 from gkmcalc.cli import main
 from gkmcalc.graph import polarize
 from gkmcalc.thom import ThomCalculator
@@ -222,6 +223,52 @@ class TestValidateCommand:
             lines = out.splitlines()
         assert sum("GKM condition fails" in line for line in lines) == 3
         assert all(line.startswith("[FAIL] ") and "\n" not in line for line in lines)
+
+
+    def test_a_graph_file_is_validated_once(self, capsys, monkeypatch, data_dir):
+        calls = {"validate_axial": 0, "_validate_connection": 0}
+        for name in calls:
+            check = getattr(graph_module, name)
+
+            def counted(*args, name=name, check=check):
+                calls[name] += 1
+                return check(*args)
+
+            monkeypatch.setattr(graph_module, name, counted)
+            monkeypatch.setattr(builders, name, counted, raising=False)  # a loader's own binding
+        code, out, _ = run(capsys, "validate", "--graph", str(data_dir / "square_diagonal.graph"))
+        assert (code, calls) == (0, {"validate_axial": 1, "_validate_connection": 1})
+        assert out.startswith("[OK]")
+
+
+class TestAmbiguousLabels:
+    # cmd_table keys its columns and rows by label, and vertex_by_label
+    # resolves a vertex name before a label, so either graph would print a
+    # wrong table or class
+
+    @pytest.mark.parametrize(
+        "labels,message",
+        [
+            ({"p1": "x", "p2": "x"}, "label 'x' of p2 also names p1"),
+            ({"p1": "p2", "p2": "p1"}, "label 'p2' of p1 also names p2"),
+        ],
+        ids=["shared", "swapped"],
+    )
+    def test_rejected_at_load(self, capsys, tmp_path, data_dir, labels, message):
+        document = json.loads((data_dir / "square_diagonal.graph").read_text())
+        path = tmp_path / "labelled.graph"
+        path.write_text(json.dumps({**document, "labels": labels}))
+        for argv in (["table"], ["thom", "--vertex", "p1"], ["table", "--format", "structured"]):
+            assert run(capsys, *argv, "--graph", str(path)) == (1, "", f"[FAIL] FormatError: {message}\n")
+        assert run(capsys, "validate", "--graph", str(path)) == (1, f"[FAIL] {message}\n", "")
+
+    def test_a_label_may_be_the_vertex_name(self, capsys, tmp_path, data_dir):
+        document = json.loads((data_dir / "square_diagonal.graph").read_text())
+        path = tmp_path / "labelled.graph"
+        path.write_text(json.dumps({**document, "labels": {"p1": "p1", "p2": "b"}}))
+        code, out, _ = run(capsys, "thom", "--graph", str(path), "--vertex", "b")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["b: 2*x1^2 - x1*x2 - x2^2", "p1: 2*x1^2 + 2*x1*x2"]
 
 
 class TestTableCommand:

@@ -16,10 +16,10 @@ from gkmcalc.graph import (
     longest_path_morse,
     polarize,
     search_polarization,
-    totally_geodesic_subgraph,
     validate,
 )
 from gkmcalc.symbolic import LinearForm, Polynomial
+from oracles import totally_geodesic_subgraph
 
 
 def inversions(perm):

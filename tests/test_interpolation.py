@@ -3,19 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from gkmcalc.interpolation import (
+from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr
+from oracles import (
     elementary_symmetric,
     elementary_symmetric_excluding,
+    evaluate,
     interpolation_value,
     lagrange_interpolate,
     matrix_product,
     partition_of_unity_sum,
     power_sum_over_differences,
+    row_reduce,
     vandermonde_inverse,
     vandermonde_inverse_powersum,
     vandermonde_matrix,
 )
-from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr
 
 
 def variable_nodes(n):
@@ -37,19 +39,9 @@ def random_plane_nodes(rng, n):
 
 
 def solve_rational_system(matrix, rhs):
-    """Gaussian elimination over Q; independent of the symbolic machinery."""
-    n = len(matrix)
-    augmented = [row[:] + [value] for row, value in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if augmented[r][col] != 0)
-        augmented[col], augmented[pivot] = augmented[pivot], augmented[col]
-        scale = augmented[col][col]
-        augmented[col] = [v / scale for v in augmented[col]]
-        for r in range(n):
-            if r != col and augmented[r][col] != 0:
-                factor = augmented[r][col]
-                augmented[r] = [a - factor * b for a, b in zip(augmented[r], augmented[col])]
-    return [row[n] for row in augmented]
+    """Gaussian elimination over Q; independent of the symbolic machinery.
+    The matrix is invertible, so the reduced rows are [I | solution]."""
+    return [row[-1] for row in row_reduce(row + [value] for row, value in zip(matrix, rhs))]
 
 
 class TestElementarySymmetric:
@@ -78,7 +70,7 @@ class TestElementarySymmetric:
         rng = random.Random(7)
         for _ in range(20):
             point = [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(3)]
-            assert lhs.evaluate(point) == rhs.evaluate(point)
+            assert evaluate(lhs, point) == evaluate(rhs, point)
         assert lhs == rhs
 
 
@@ -125,7 +117,7 @@ class TestLagrange:
             matrix = [[value ** j for j in range(n)] for value in node_values]
             rhs = [value ** 2 + value for value in node_values]
             numeric = solve_rational_system(matrix, rhs)
-            symbolic = [g.to_polynomial().evaluate(sample) for g in coefficients]
+            symbolic = [evaluate(g.to_polynomial(), sample) for g in coefficients]
             assert numeric == symbolic
 
     def test_interpolation_reproduces_values(self):

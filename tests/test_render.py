@@ -179,7 +179,7 @@ class TestRootBasis:
 
     def test_non_root_polynomial_rejected(self):
         with pytest.raises(FormatError):
-            to_root_basis(Polynomial.variable(0, 3))
+            to_root_basis(LinearForm.basis(0, 3).as_polynomial())
 
     def test_constants_pass_through(self):
         converted = to_root_basis(Polynomial.constant(Fraction(5, 2), 3))
@@ -199,7 +199,7 @@ class TestRootBasis:
         graph = load_graph(data_dir / "square_diagonal.graph")
         names, convert = basis_renderer(graph, "auto")
         assert names is None
-        poly = Polynomial.variable(0, graph.dimension)
+        poly = LinearForm.basis(0, graph.dimension).as_polynomial()
         assert convert(poly) is poly
 
     def test_auto_basis_builds_no_fraction_view(self, monkeypatch):

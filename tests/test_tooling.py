@@ -16,7 +16,9 @@ output.  Every
 ``gkmcalc`` line of the README's CLI block must run and exit 0.  Every
 graph in the package is built by ``GkmGraph.from_undirected`` and no line
 of it writes into a graph's connection, nor into the term numerators of a
-built polynomial or linear form, whose hash is kept.
+built polynomial or linear form, whose hash is kept.  Every function, class
+and method of the package is read by the package, ``perfbench/`` or
+``scripts/``: reference code that only tests read lives in ``tests/``.
 """
 
 import ast
@@ -334,3 +336,34 @@ def test_built_polynomials_are_not_written(path):
             )
             name = callee.id if isinstance(callee, ast.Name) else None
             assert not (name == "_add_into" and node.args and is_num(node.args[0])), f"{where}: adds into a built _num"
+
+
+def test_package_code_is_read_outside_the_tests():
+    # every module-level function and class of the package, and every
+    # non-dunder method, is read by the package itself (the re-exports of
+    # __init__ aside), by perfbench/ (the tracer's TARGETS strings count) or
+    # by scripts/; reference code that only tests read lives in tests/
+    readers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    readers += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    targets = load_script("perfbench_tracer", TRACER).TARGETS.values()
+    read.update(attribute.rpartition(".")[2] for _, attribute in targets)
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                methods = [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+                dunder = [name for name in methods if name.startswith("__") and name.endswith("__")]
+                defined += [(f"{path.stem}.{node.name}.{name}", name) for name in methods if name not in dunder]
+    unread = [where for where, name in defined if name not in read]
+    assert not unread, f"read only by tests: {', '.join(unread)}"
