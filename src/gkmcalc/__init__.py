@@ -12,19 +12,13 @@ from .builders import (
     load_graph,
     permutahedron,
 )
-from .cohomology import (
-    CohomologyClass,
-    CrossSectionClass,
-    constant_class,
-    integrate,
-    kirwan,
-)
+from .cohomology import CohomologyClass, constant_class, integrate
 from .crosssection import (
-    CrossSection,
+    CrossSectionClass,
     TransferMatrix,
     chamber_levels,
     compose_transfer,
-    cross_section,
+    kirwan,
     single_step_transfer,
     transport_class,
 )

@@ -234,12 +234,12 @@ def cmd_transfer(args) -> int:
     markov = matrix.is_markov()
     source, target = matrix.source, matrix.target
     rendered = {vw: value.render(names) for vw, value in matrix.entries.items()}  # each entry once
-    key = {eid: graph.edges[eid].key() for eid in source.cut + target.cut}
-    lines = [f"transfer {source.level} -> {target.level}: {len(source)} x {len(target)} cut edges"]
+    key = {eid: graph.edges[eid].key() for eid in source + target}
+    lines = [f"transfer {matrix.low} -> {matrix.high}: {len(source)} x {len(target)} cut edges"]
     lines += (  # the sweep stores nonzero entries only
         f"  T[{key[v]} -> {key[w]}] = {rendered[v, w]}"
-        for w in target.cut
-        for v in source.cut
+        for w in target
+        for v in source
         if (v, w) in rendered
     )
     lines.append(f"markov column sums: {'ok' if markov else 'VIOLATED'}")
@@ -247,8 +247,8 @@ def cmd_transfer(args) -> int:
         args,
         lines,
         {
-            "from": format_rational(source.level),
-            "to": format_rational(target.level),
+            "from": format_rational(matrix.low),
+            "to": format_rational(matrix.high),
             "entries": {f"{key[v]}|{key[w]}": value for (v, w), value in rendered.items()},
             "markov": markov,
         },

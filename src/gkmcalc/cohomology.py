@@ -5,10 +5,8 @@ the values at the two endpoints of every edge is divisible by the edge
 weight.  A class stores only its values; its degree is read from them, so
 sums and products carry no degree rule.  These maps form a ring under
 pointwise operations; it carries an integration operation (sum of values
-over the products of vertex weights, which collapses to a polynomial) and,
-for every regular level of the Morse function, a restriction to the
-cross-section obtained by projecting along each cut edge into the
-annihilator of the polarizing vector.
+over the products of vertex weights, which collapses to a polynomial).
+Restriction to a cross-section of the Morse function lives in crosssection.
 """
 
 from __future__ import annotations
@@ -17,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import CocycleError, GraphError, PolarizationError, ReductionError
-from .graph import GkmGraph, Polarization
-from .symbolic import LinearForm, Polynomial, RationalExpr, RationalLike, rat, rho_poly
+from .errors import CocycleError, GraphError, ReductionError
+from .graph import GkmGraph
+from .symbolic import LinearForm, Polynomial, RationalExpr, RationalLike, rat
 
 
 @dataclass(frozen=True)
@@ -140,90 +138,3 @@ def integrate(f: CohomologyClass) -> Polynomial:
     if not total.is_polynomial:
         raise ReductionError("localization sum did not reduce to a polynomial; input is not a cocycle")
     return total.to_polynomial()
-
-
-# ---------------------------------------------------------------------------
-# cross-sections of the Morse function
-
-
-@dataclass(frozen=True)
-class CrossSectionClass:
-    """Values indexed by the ascending edges cut by a regular level.
-
-    Every value lies in the annihilator subring of xi (its directional
-    derivative along xi vanishes).
-    """
-
-    polarization: Polarization
-    level: Fraction
-    values: Mapping[int, Polynomial]
-
-    @property
-    def graph(self) -> GkmGraph:
-        return self.polarization.graph
-
-    def __getitem__(self, eid: int) -> Polynomial:
-        return self.values[eid]
-
-    def __mul__(self, other) -> "CrossSectionClass":
-        if isinstance(other, CrossSectionClass):
-            if other.values.keys() != self.values.keys():
-                raise GraphError("cross-section classes at different levels")
-            return CrossSectionClass(
-                self.polarization,
-                self.level,
-                {e: self.values[e] * other.values[e] for e in self.values},
-            )
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return CrossSectionClass(
-                self.polarization, self.level, {e: self.values[e] * other for e in self.values}
-            )
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CrossSectionClass):
-            return NotImplemented
-        return (
-            self.level == other.level
-            and self.values.keys() == other.values.keys()
-            and all(self.values[e] == other.values[e] for e in self.values)
-        )
-
-
-def cut_edge_ids(polarization: Polarization, c: RationalLike) -> tuple[int, ...]:
-    """Ascending edges e with phi(i(e)) < c < phi(t(e)), in edge-id order."""
-    level = rat(c)
-    if not polarization.is_regular(level):
-        raise PolarizationError(f"{level} is a critical value of the Morse function")
-    graph = polarization.graph
-    cut = []
-    for edge in graph.edges:
-        if not polarization.ascending(edge.eid):
-            continue
-        if polarization.level(edge.source) < level < polarization.level(edge.target):
-            cut.append(edge.eid)
-    return tuple(cut)
-
-
-def kirwan(f: CohomologyClass, polarization: Polarization, c: RationalLike) -> CrossSectionClass:
-    """Restrict a class to the level-c cross-section via the xi-projection.
-
-    The value at a cut edge is rho_e applied to the value at either
-    endpoint; the two computations must agree, which re-checks the cocycle
-    condition along every cut edge.
-    """
-    graph = polarization.graph
-    if f.graph is not graph:
-        raise GraphError("class and polarization live on different graphs")
-    xi = polarization.xi
-    values: dict[int, Polynomial] = {}
-    for eid in cut_edge_ids(polarization, c):
-        edge = graph.edges[eid]
-        below = rho_poly(f.values[edge.source], edge.weight, xi)
-        above = rho_poly(f.values[edge.target], edge.weight, xi)
-        if below != above:
-            raise CocycleError(
-                f"projections along {edge.key()} disagree; input is not a cocycle"
-            )
-        values[eid] = below
-    return CrossSectionClass(polarization, rat(c), values)

@@ -1,12 +1,15 @@
-"""Cross-section combinatorics: cut-edge sets, transfer ("flip-flop")
-matrices between regular levels, and the Markov property.
+"""Cross-sections of the Morse function: regular levels, the edges they
+cut, the restriction of a class to one, its transport to a higher level,
+and transfer ("flip-flop") matrices between levels with the Markov property.
 
-A regular level c of the Morse function cuts a set of ascending edges; a
-cross-section class assigns to each cut edge a polynomial in the
-xi-annihilator subring.  Crossing one critical vertex transfers such a
-class by interpolating its values on the disappearing (descending) edges
-and re-evaluating on the created (ascending) ones; the matrix of this map
-is the identity on persisting edges and, on the new block,
+A regular level c of the Morse function cuts a set of ascending edges
+(cut_edge_ids); a cross-section class assigns to each cut edge a polynomial
+in the xi-annihilator subring, and kirwan restricts a class on the
+vertices to one by projecting along each cut edge.  Crossing one critical
+vertex transfers such a class by interpolating its values on the
+disappearing (descending) edges and re-evaluating on the created
+(ascending) ones; the matrix of this map is the identity on persisting
+edges and, on the new block,
 
     T(j, a) = rho_{e_a}(prod_{k != j} alpha_{e_k})
             / rho_{e_j}(prod_{k != j} alpha_{e_k})
@@ -35,28 +38,90 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import GraphError, InternalConsistencyError, PolarizationError
-from .cohomology import CrossSectionClass, cut_edge_ids
+from .cohomology import CohomologyClass
+from .errors import CocycleError, GraphError, InternalConsistencyError, PolarizationError
 from .graph import Polarization
 from .symbolic import Polynomial, RationalExpr, RationalLike, rat, rho_poly
 from .thom import ThomCalculator, _carry, _flip_flop
 
 
 @dataclass(frozen=True)
-class CrossSection:
-    """The set of ascending edges cut by a regular level."""
+class CrossSectionClass:
+    """Values indexed by the ascending edges cut by a regular level.
+
+    Every value lies in the annihilator subring of xi (its directional
+    derivative along xi vanishes).
+    """
 
     polarization: Polarization
     level: Fraction
-    cut: tuple[int, ...]
+    values: Mapping[int, Polynomial]
 
-    def __len__(self) -> int:
-        return len(self.cut)
+    def __getitem__(self, eid: int) -> Polynomial:
+        return self.values[eid]
+
+    def __mul__(self, other) -> "CrossSectionClass":
+        if isinstance(other, CrossSectionClass):
+            if other.values.keys() != self.values.keys():
+                raise GraphError("cross-section classes at different levels")
+            return CrossSectionClass(
+                self.polarization,
+                self.level,
+                {e: self.values[e] * other.values[e] for e in self.values},
+            )
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return CrossSectionClass(
+                self.polarization, self.level, {e: self.values[e] * other for e in self.values}
+            )
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CrossSectionClass):
+            return NotImplemented
+        return (
+            self.level == other.level
+            and self.values.keys() == other.values.keys()
+            and all(self.values[e] == other.values[e] for e in self.values)
+        )
 
 
-def cross_section(polarization: Polarization, c: RationalLike) -> CrossSection:
+def cut_edge_ids(polarization: Polarization, c: RationalLike) -> tuple[int, ...]:
+    """Ascending edges e with phi(i(e)) < c < phi(t(e)), in edge-id order."""
     level = rat(c)
-    return CrossSection(polarization, level, cut_edge_ids(polarization, level))
+    if not polarization.is_regular(level):
+        raise PolarizationError(f"{level} is a critical value of the Morse function")
+    graph = polarization.graph
+    cut = []
+    for edge in graph.edges:
+        if not polarization.ascending(edge.eid):
+            continue
+        if polarization.level(edge.source) < level < polarization.level(edge.target):
+            cut.append(edge.eid)
+    return tuple(cut)
+
+
+def kirwan(f: CohomologyClass, polarization: Polarization, c: RationalLike) -> CrossSectionClass:
+    """Restrict a class to the level-c cross-section via the xi-projection.
+
+    The value at a cut edge is rho_e applied to the value at either
+    endpoint; the two computations must agree, which re-checks the cocycle
+    condition along every cut edge.
+    """
+    graph = polarization.graph
+    if f.graph is not graph:
+        raise GraphError("class and polarization live on different graphs")
+    xi = polarization.xi
+    values: dict[int, Polynomial] = {}
+    for eid in cut_edge_ids(polarization, c):
+        edge = graph.edges[eid]
+        below = rho_poly(f.values[edge.source], edge.weight, xi)
+        above = rho_poly(f.values[edge.target], edge.weight, xi)
+        if below != above:
+            raise CocycleError(
+                f"projections along {edge.key()} disagree; input is not a cocycle"
+            )
+        values[eid] = below
+    return CrossSectionClass(polarization, rat(c), values)
 
 
 def chamber_levels(polarization: Polarization) -> list[Fraction]:
@@ -80,40 +145,33 @@ def crossed_vertices(polarization: Polarization, c: Fraction, c_prime: Fraction)
     ]
 
 
+@dataclass(frozen=True)
 class TransferMatrix:
-    """Sparse matrix of a transfer map between two cross-sections.
+    """Sparse matrix of a transfer map from level low up to level high.
 
-    Entries are indexed (source cut edge, target cut edge); application is
-    f'(w) = sum_v T(v, w) f(v), so the Markov property is that every column
-    sums to one.
+    source and target are the cut edges of the two levels (cut_edge_ids);
+    entries are indexed (source cut edge, target cut edge) and hold the
+    nonzero ones only.  Application is f'(w) = sum_v T(v, w) f(v), so the
+    Markov property is that every column sums to one.
     """
 
-    def __init__(
-        self,
-        source: CrossSection,
-        target: CrossSection,
-        entries: Mapping[tuple[int, int], RationalExpr],
-    ):
-        self.source = source
-        self.target = target
-        self.entries = dict(entries)
+    polarization: Polarization
+    low: Fraction
+    high: Fraction
+    source: tuple[int, ...]
+    target: tuple[int, ...]
+    entries: dict[tuple[int, int], RationalExpr]
 
     def entry(self, v: int, w: int) -> RationalExpr:
         value = self.entries.get((v, w))
         if value is None:
-            return RationalExpr.zero(self.source.polarization.graph.dimension)
+            return RationalExpr.zero(self.polarization.graph.dimension)
         return value
 
-    def column_sum(self, w: int) -> RationalExpr:
-        dim = self.source.polarization.graph.dimension
-        total = RationalExpr.zero(dim)
-        for v in self.source.cut:
-            total = total + self.entry(v, w)
-        return total
-
     def is_markov(self) -> bool:
-        one = RationalExpr.one(self.source.polarization.graph.dimension)
-        return all(self.column_sum(w) == one for w in self.target.cut)
+        dim = self.polarization.graph.dimension
+        one, zero = RationalExpr.one(dim), RationalExpr.zero(dim)
+        return all(sum((self.entry(v, w) for v in self.source), zero) == one for w in self.target)
 
 
 def _sweep(
@@ -154,28 +212,27 @@ def single_step_transfer(
         raise PolarizationError(
             f"expected exactly one critical vertex in ({low}, {high}), found {crossed}"
         )
-    return _transfer(ThomCalculator(polarization), low, high, crossed)
+    source = cut_edge_ids(polarization, low)
+    entries = _transfer(ThomCalculator(polarization), source, crossed)
+    return TransferMatrix(polarization, low, high, source, cut_edge_ids(polarization, high), entries)
 
 
 def _transfer(
-    calc: ThomCalculator, low: Fraction, high: Fraction, crossed: Sequence[str]
-) -> TransferMatrix:
-    """The transfer matrix from level low to level high, crossing `crossed`
-    in increasing order: row T(v, .) is the unit weight on the source cut
-    edge v carried up through Q."""
+    calc: ThomCalculator, source: Sequence[int], crossed: Sequence[str]
+) -> dict[tuple[int, int], RationalExpr]:
+    """The nonzero transfer entries from the cut edges `source`, crossing
+    `crossed` in increasing order: row T(v, .) is the unit weight on the
+    source cut edge v carried up through Q."""
     pol = calc.pol
-    source = cross_section(pol, low)
     one = RationalExpr.one(pol.graph.dimension)
     entries = {}
-    for v in source.cut:
+    for v in source:
         row, _ = _carry(pol, {v: one}, crossed, calc.q_pair)
         entries.update(((v, w), value) for w, value in row.items())
-    return TransferMatrix(source, cross_section(pol, high), entries)
+    return entries
 
 
-def _transfer_by_paths(
-    calc: ThomCalculator, source: CrossSection, target: CrossSection
-) -> dict[tuple[int, int], RationalExpr]:
+def _transfer_by_paths(calc: ThomCalculator, matrix: TransferMatrix) -> dict[tuple[int, int], RationalExpr]:
     """Entries as ascending-path sums T(v, w) = sum_gamma Q(gamma).
 
     The paths are v gamma' w, with gamma' an ascending path (from
@@ -184,16 +241,16 @@ def _transfer_by_paths(
     levels; Q(gamma) multiplies the transfer weights of consecutive edge
     pairs.  A cut edge of both levels is the one-edge path, T(v, v) = 1.
     """
-    graph, high = calc.graph, target.level
+    graph, high = calc.graph, matrix.high
     zero = RationalExpr.zero(graph.dimension)
     entries: dict[tuple[int, int], RationalExpr] = {}
-    for v in source.cut:
+    for v in matrix.source:
         head = graph.edges[v].target
         if calc.pol.level(head) > high:
             entries[(v, v)] = RationalExpr.one(graph.dimension)
             continue
         paths = calc.paths_from(head, high)
-        for w in target.cut:
+        for w in matrix.target:
             for middle in paths.get(graph.edges[w].source, ()):
                 gamma = (v, *middle, w)
                 weight = functools.reduce(operator.mul, map(calc.q_pair, gamma, gamma[1:]))
@@ -214,15 +271,17 @@ def compose_transfer(
     """
     low, high, crossed = _sweep(polarization, c, c_prime)
     calc = ThomCalculator(polarization)
-    heads = {calc.graph.edges[v].target for v in cross_section(polarization, low).cut}
+    source = cut_edge_ids(polarization, low)
+    heads = {calc.graph.edges[v].target for v in source}
     calc.check_path_budget("the transfer check", heads, lambda x: polarization.level(x) < high)
-    matrix = _transfer(calc, low, high, crossed)
+    entries = _transfer(calc, source, crossed)
+    matrix = TransferMatrix(polarization, low, high, source, cut_edge_ids(polarization, high), entries)
     _check_against_paths(calc, matrix)
     return matrix
 
 
 def _check_against_paths(calc: ThomCalculator, matrix: TransferMatrix) -> None:
-    expected = _transfer_by_paths(calc, matrix.source, matrix.target)
+    expected = _transfer_by_paths(calc, matrix)
     keys = set(expected) | set(matrix.entries)
     graph = calc.graph
     zero = RationalExpr.zero(graph.dimension)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .builders import complete_graph, permutahedron
-from .cohomology import constant_class, kirwan
-from .crosssection import chamber_levels, compose_transfer, transport_class
+from .cohomology import constant_class
+from .crosssection import chamber_levels, compose_transfer, kirwan, transport_class
 from .graph import polarize
 from .symbolic import LinearForm, Polynomial, RationalExpr
 from .thom import ThomCalculator, nearby_path_configurations, nearby_path_identity

@@ -957,15 +957,6 @@ class RationalExpr:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def degree(self) -> Optional[int]:
-        """Homogeneous degree (numerator degree minus denominator degree)."""
-        top = self.num.homogeneous_degree()
-        if top is None:
-            return None
-        if top < 0:
-            return top
-        return top - sum(m for _, m in self.den)
-
     def render(self, names: Optional[Sequence[str]] = None) -> str:
         num = self.num.render(names)
         if not self.den:

@@ -60,6 +60,7 @@ from .errors import (
     GraphError,
     InternalConsistencyError,
     PathBudgetError,
+    PolarizationError,
     ReductionError,
     SpanError,
 )
@@ -411,7 +412,9 @@ class ThomCalculator:
         GKM weights at a vertex are pairwise independent, so its nodes
         ahat_j are distinct: any d + 1 descending edges fix psi.  The first
         d + 1 are taken after a stable sort that puts edges whose lower end
-        is zero first, the cheapest nodes.  The result is checked to be a
+        is zero first, the cheapest nodes.  A reached vertex with fewer
+        descending edges leaves psi unfixed, and raises PolarizationError
+        naming the base and the vertex.  The result is checked to be a
         cocycle along every edge, the skipped ones included, and
         homogeneous of degree sigma_base.  A base that is not a vertex
         raises GraphError.
@@ -426,8 +429,6 @@ class ThomCalculator:
         zero = Polynomial.zero(graph.dimension)
         values = {v: zero for v in graph.vertices}
         values[base] = self.nu_plus(base)
-        reached = {base}
-        base_level = pol.level(base)
         nodes = pol.sigma[base] + 1
         projections: dict[tuple[Polynomial, LinearForm], Polynomial] = {}
         quotients: dict[tuple[Polynomial, LinearForm], Polynomial] = {}
@@ -442,17 +443,17 @@ class ThomCalculator:
                 projections[key] = rho_poly(value, key[1], pol.xi)
             return projections[key]
 
-        for vertex in pol.vertices_by_level():
-            if pol.level(vertex) <= base_level:
-                continue
+        _, *above = self.path_counts(base)  # the base, then the rest of up(base) in level order
+        for vertex in above:
             descending = pol.descending_out(vertex)
-            if any(graph.edges[e].target in reached for e in descending):
-                reached.add(vertex)
-                chosen = sorted(
-                    descending, key=lambda e: not values[graph.edges[e].target].is_zero
-                )[:nodes]
-                incoming = [project(e) for e in chosen]
-                values[vertex] = _flip_flop(self, vertex, chosen, incoming, quotients)
+            if len(descending) < nodes:
+                raise PolarizationError(
+                    f"Thom class of {graph.label(base)} is not fixed at {graph.label(vertex)}: "
+                    f"degree {nodes - 1} needs {nodes} descending edges there, and it has {len(descending)}"
+                )
+            chosen = sorted(descending, key=lambda e: not values[graph.edges[e].target].is_zero)[:nodes]
+            incoming = [project(e) for e in chosen]
+            values[vertex] = _flip_flop(self, vertex, chosen, incoming, quotients)
         witness = cocycle_witness(graph, values)
         if witness is not None:
             raise InternalConsistencyError(

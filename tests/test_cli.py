@@ -313,6 +313,22 @@ class TestTableCommand:
         assert code == 0
         assert len(scaled) <= 72
 
+    def test_class_the_engine_cannot_fix_fails_the_table(self, capsys, data_dir):
+        # the pentagon's tau_E is not fixed at D (one descending edge); the
+        # classes the engine can fix are still printed by thom
+        spec = str(data_dir / "pentagon.graph")
+        assert run(capsys, "table", "--graph", spec) == (
+            1,
+            "",
+            "[FAIL] PolarizationError: Thom class of E is not fixed at D: "
+            "degree 1 needs 2 descending edges there, and it has 1\n",
+        )
+        assert run(capsys, "thom", "--graph", spec, "--vertex", "B") == (
+            0,
+            "A: 0\nB: -x1\nE: 0\nD: 0\nC: -x1 + x2\n",
+            "",
+        )
+
 
 class TestPairCommand:
     def test_single_entry(self, capsys):

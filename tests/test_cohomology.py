@@ -1,18 +1,14 @@
+import functools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmcalc.builders import complete_graph, permutahedron
-from gkmcalc.cohomology import (
-    CohomologyClass,
-    CrossSectionClass,
-    cocycle_witness,
-    constant_class,
-    cut_edge_ids,
-    integrate,
-    kirwan,
-)
-from gkmcalc.crosssection import chamber_levels
+from gkmcalc.cohomology import CohomologyClass, cocycle_witness, constant_class, integrate
+from gkmcalc.crosssection import CrossSectionClass, chamber_levels, cut_edge_ids, kirwan
 from gkmcalc.errors import CocycleError, ReductionError
 from gkmcalc.graph import polarize
 from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, rho_poly
@@ -124,6 +120,60 @@ class TestIntegrate:
         values["p1"] = Polynomial.one(3)
         with pytest.raises(ReductionError, match="not a cocycle"):
             integrate(CohomologyClass(graph, values))
+
+
+def power(f, k):
+    return functools.reduce(operator.mul, [f] * k)
+
+
+def orbit_class(graph, lam):
+    """f(pi) = sum_k lambda_(pi(k)) x_k on permutahedron:n, with pi(k) the
+    k-th digit of the vertex name: the moment map of the coadjoint orbit of
+    lambda, as an equivariant class of degree one."""
+    return CohomologyClass(
+        graph, {v: LinearForm([lam[int(digit) - 1] for digit in v]).as_polynomial() for v in graph.vertices}
+    )
+
+
+def orbit_volume(lam):
+    """N! vol(O_lambda) = N! prod_(i<j) (lambda_j - lambda_i)/(j - i), with
+    N = n(n-1)/2 the complex dimension of the flag variety."""
+    n = len(lam)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return math.factorial(len(pairs)) * math.prod(Fraction(lam[j] - lam[i], j - i) for i, j in pairs)
+
+
+class TestDuistermaatHeckman:
+    """Symplectic volumes by localization: the integral of f^N is N! times
+    the volume the Duistermaat-Heckman formula gives, an oracle that reads
+    no Thom class."""
+
+    @pytest.mark.parametrize(
+        "lam, volume", [((0, 2, 7), 210), ((0, 1, 5, 11), 792000), ((0, 2, 3, 7, 13), 90810720000)]
+    )
+    def test_coadjoint_orbit_volume(self, lam, volume):
+        graph = permutahedron(len(lam))
+        top = len(lam) * (len(lam) - 1) // 2
+        assert orbit_volume(lam) == volume
+        assert integrate(power(orbit_class(graph, lam), top)) == Polynomial.constant(volume, graph.dimension)
+
+    @given(
+        st.sampled_from([3, 4]).flatmap(
+            lambda n: st.lists(st.fractions(-20, 20, max_denominator=6), min_size=n, max_size=n, unique=True)
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_coadjoint_orbit_volume_for_any_distinct_lambda(self, lam):
+        graph = permutahedron(len(lam))
+        top = len(lam) * (len(lam) - 1) // 2
+        value = integrate(power(orbit_class(graph, lam), top))
+        assert value == Polynomial.constant(orbit_volume(lam), graph.dimension)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_projective_space_has_volume_one(self, n):
+        # x_i at p_i in degree n - 1, the top degree of CP^(n-1)
+        graph = complete_graph(n)
+        assert integrate(power(coordinate_class(graph), n - 1)) == Polynomial.one(n)
 
 
 class TestProduct:

@@ -332,10 +332,6 @@ class TestRationalExpr:
         expr = RationalExpr.make(Polynomial.one(2), [X1 - X2, X1 - X2])
         assert expr.render() == "(1) / ((x1 - x2)^2)"
 
-    def test_degree(self):
-        expr = RationalExpr.make((X1 + X2).as_polynomial() ** 3, [X1 - X2])
-        assert expr.degree() == 2
-
 
 # -- the packed kernel against a plain exponent-tuple / Fraction reference
 

@@ -9,6 +9,7 @@ from gkmcalc import thom as thom_module
 from gkmcalc.builders import build_graph, complete_graph, load_graph, permutahedron
 from gkmcalc.cohomology import cocycle_witness, integrate
 from gkmcalc.demo import flag3_expected_table
+from gkmcalc.errors import PolarizationError
 from gkmcalc.graph import longest_path_morse, polarize
 from gkmcalc.render import to_root_basis
 from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, rho_form, rho_poly
@@ -693,6 +694,62 @@ class TestThomClassInductive:
             InternalConsistencyError, match=r"^Thom class of \(231\) is not homogeneous of degree 2$"
         ):
             calc.thom_class_inductive(graph.vertex_by_label("(231)"))
+
+    def test_refuses_a_class_interpolation_does_not_fix(self):
+        # P^2 blown up at two points: D has one descending edge, too few to
+        # fix the degree-one value of tau_E there
+        calc = ThomCalculator(polarize(load_graph(DATA / "pentagon.graph")))
+        with pytest.raises(PolarizationError, match=r"^Thom class of E is not fixed at D: degree 1 needs 2 "):
+            calc.thom_class_inductive("E")
+        x1, x2 = (LinearForm.basis(i, 2).as_polynomial() for i in range(2))
+        zero = Polynomial.zero(2)
+        expected = {"A": zero, "B": -x1, "C": x2 - x1, "D": zero, "E": zero}
+        assert calc.thom_class_inductive("B").values == expected
+
+
+class TestChamberInvariance:
+    """Inside one chamber a Thom class does not depend on xi, an oracle
+    that reads neither route's formulas: xi' = 3 xi + e_n/7 and
+    xi'' = 2 xi - e_1/5 keep every edge's orientation on these graphs, and
+    every class must come out the same.  On the pentagon the class of E is
+    refused at all three vectors instead."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "permutahedron:3",
+            "permutahedron:4",
+            *(f"complete:{n}" for n in range(3, 7)),
+            "square_diagonal.graph",
+            "F_2",
+            "pentagon.graph",
+        ],
+    )
+    def test_classes_are_the_same_across_the_chamber(self, spec, hirzebruch):
+        refused = {"E"} if spec == "pentagon.graph" else set()
+        if spec == "F_2":
+            graph = hirzebruch(2)
+        else:
+            graph = load_graph(DATA / spec) if spec.endswith(".graph") else build_graph(spec)
+        default = polarize(graph)
+        xi, last = list(default.xi), graph.dimension - 1
+        moved = [
+            [3 * c + (Fraction(1, 7) if k == last else 0) for k, c in enumerate(xi)],
+            [2 * c - (Fraction(1, 5) if k == 0 else 0) for k, c in enumerate(xi)],
+        ]
+        calcs = [ThomCalculator(default)]
+        for vector in moved:
+            pol = polarize(graph, vector)
+            assert [pol.ascending(e.eid) for e in graph.edges] == [default.ascending(e.eid) for e in graph.edges]
+            calcs.append(ThomCalculator(pol))
+        for base in graph.vertices:
+            if graph.label(base) in refused:
+                for calc in calcs:
+                    with pytest.raises(PolarizationError, match=f"^Thom class of {graph.label(base)} "):
+                        calc.thom_class_inductive(base)
+                continue
+            first, *others = (calc.thom_class_inductive(base) for calc in calcs)
+            assert all(other == first for other in others)
 
 
 class TestThomMinus:

@@ -19,6 +19,8 @@ of it writes into a graph's connection, nor into the term numerators of a
 built polynomial or linear form, whose hash is kept.  Every function, class
 and method of the package is read by the package, ``perfbench/`` or
 ``scripts/``: reference code that only tests read lives in ``tests/``.
+``cohomology`` holds classes on vertices only; levels, cut edges and
+restriction to a cross-section belong to ``crosssection``.
 """
 
 import ast
@@ -367,3 +369,21 @@ def test_package_code_is_read_outside_the_tests():
                 defined += [(f"{path.stem}.{node.name}.{name}", name) for name in methods if name not in dunder]
     unread = [where for where, name in defined if name not in read]
     assert not unread, f"read only by tests: {', '.join(unread)}"
+
+
+def test_cohomology_holds_no_cross_section_code():
+    # a class on the vertices needs no polarization: cohomology reads only
+    # GkmGraph from .graph and defines none of crosssection's names
+    tree = ast.parse((PACKAGE / "cohomology.py").read_text())
+    from_graph = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "graph"
+        for alias in node.names
+    }
+    assert from_graph == {"GkmGraph"}
+    section = ast.parse((PACKAGE / "crosssection.py").read_text())
+    owned = {"CrossSectionClass", "cut_edge_ids", "kirwan"}
+    owned |= {node.name for node in section.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & owned, f"cohomology defines {sorted(defined & owned)}"
