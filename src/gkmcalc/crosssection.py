@@ -11,10 +11,10 @@ disappearing (descending) edges and re-evaluating on the created
 (ascending) ones; the matrix of this map is the identity on persisting
 edges and, on the new block,
 
-    T(j, a) = rho_{e_a}(prod_{k != j} alpha_{e_k})
-            / rho_{e_j}(prod_{k != j} alpha_{e_k})
+    T(j, a) = prod_{k != j} (ahat_k - ahat_a) / (ahat_k - ahat_j)
 
-over the descending edges e_k at the crossed vertex, which is the transfer
+over the descending edges e_k at the crossed vertex, with nodes
+ahat = alpha/alpha(xi): the Lagrange basis at the nodes, and the transfer
 weight Q(e_j^{-1}, e_a) of ThomCalculator.q_pair.  Columns sum to one
 exactly.  A matrix between any two regular levels is built by thom._carry,
 the edge sweep that also sums the path classes: each row T(v, .) starts as

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, GraphError, PolarizationError
-from .symbolic import LinearForm, RationalLike, _int_vector, format_rational, rat, rat_vector, rho_form
+from .symbolic import LinearForm, RationalLike, _int_vector, format_rational, rat, rat_vector
 
 
 @dataclass(frozen=True)
@@ -462,24 +462,19 @@ def check_generic(graph: GkmGraph, xi: Sequence[RationalLike], vertex: str) -> b
 
     (1/alpha_{e1}(xi)) rho_{e2} alpha_{e1} != (1/alpha_{e3}(xi)) rho_{e4}
     alpha_{e3} for all edge quadruples at the vertex except the forced
-    coincidences (e1=e2 and e3=e4, or e1=e3 and e2=e4).
+    coincidences (e1=e2 and e3=e4, or e1=e3 and e2=e4).  Each side is the
+    node gap ahat_{e1} - ahat_{e2}, with ahat_e = alpha_e/alpha_e(xi), so the
+    gaps of the ordered pairs of distinct edges must be pairwise distinct.
     """
     vector = rat_vector(xi)
-    eids = graph.out_edges(vertex)
-    values: dict[tuple[int, int], LinearForm] = {}
-    for e1 in eids:
-        w1 = graph.weight(e1)
-        denom = w1.pair(vector)
-        if denom == 0:
-            raise PolarizationError(f"weight of {graph.edges[e1].key()} pairs to zero")
-        for e2 in eids:
-            values[(e1, e2)] = rho_form(w1, graph.weight(e2), vector).scale(1 / denom)
-    for pair_a, pair_b in itertools.combinations(values.keys(), 2):
-        if pair_a[0] == pair_a[1] and pair_b[0] == pair_b[1]:
-            continue  # both sides are zero by construction
-        if (values[pair_a] - values[pair_b]).is_zero:
-            return False
-    return True
+    nodes = []
+    for eid in graph.out_edges(vertex):
+        pairing = graph.weight(eid).pair(vector)
+        if pairing == 0:
+            raise PolarizationError(f"weight of {graph.edges[eid].key()} pairs to zero")
+        nodes.append(graph.weight(eid).scale(1 / pairing))
+    gaps = [a - b for a, b in itertools.permutations(nodes, 2)]
+    return len(set(gaps)) == len(gaps)
 
 
 def search_polarization(graph: GkmGraph) -> tuple[Fraction, ...]:

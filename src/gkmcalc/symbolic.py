@@ -125,9 +125,6 @@ class LinearForm:
         form._coeffs = form._poly = form._divisor = None
         return form
 
-    def __reduce__(self):
-        return LinearForm._canonical, (self._num, self._den)
-
     @staticmethod
     def zero(dim: int) -> "LinearForm":
         return LinearForm._canonical((0,) * dim, 1)
@@ -667,30 +664,12 @@ class Polynomial:
 # the projection killing the xi-direction
 
 
-def rho_form(form: LinearForm, edge_weight: LinearForm, xi: Sequence[RationalLike]) -> LinearForm:
-    """Project a linear form into the annihilator of xi along an edge weight.
-
-    rho_e(alpha) = alpha - (alpha(xi)/alpha_e(xi)) * alpha_e.  Orientation
-    of the edge does not matter: negating the weight leaves rho unchanged.
-    With A/D = alpha, W/D' = alpha_e and X an int multiple of xi it is
-    (A W(X) - A(X) W) / (W(X) D), one int expression.
-    """
-    if form.dim != edge_weight.dim or len(xi) != form.dim:
-        raise DimensionError(
-            f"form of dimension {form.dim}, weight of dimension {edge_weight.dim}, xi of length {len(xi)}"
-        )
-    direction, _ = _int_vector(xi)
-    a, w = form._num, edge_weight._num
-    wx = sum(map(operator.mul, w, direction))
-    if wx == 0:
-        raise PolarizationError(f"edge weight {edge_weight} pairs to zero with xi")
-    ax = sum(map(operator.mul, a, direction))
-    return LinearForm._canonical(tuple(wx * x - ax * y for x, y in zip(a, w)), wx * form._den)
-
-
 def rho_poly(poly: Polynomial, edge_weight: LinearForm, xi: Sequence[RationalLike]) -> Polynomial:
-    """Extend rho_e multiplicatively to S(g*); a ring homomorphism.
+    """Project into the annihilator of xi along an edge weight, on S(g*); a
+    ring homomorphism that negating the weight leaves unchanged.
 
+    On a linear form rho_e(alpha) = alpha - (alpha(xi)/alpha_e(xi)) alpha_e,
+    which is alpha(xi) (ahat - ahat_e) for nodes ahat = alpha/alpha(xi).
     rho_e(P)(x) = P(x - t xi) with t = alpha_e(x)/alpha_e(xi): the Taylor
     shift sum_k (-t)^k D_xi^k P / k! in the single direction xi, summed by
     Horner's rule in alpha_e.

@@ -42,15 +42,19 @@ matrices, which stops at the upper level of its window; has_unique_path
 and the nearby-path configurations only count and measure them, by one
 sweep (path_counts).  Every enumeration is counted first, by that sweep,
 and more than PATH_BUDGET paths raise PathBudgetError (check_path_budget).
-Theta_pq is the raw quotient of rho_e over the descending weights at p and
-q, whose factors matched by the connection of_forms cancels, so no class
-computation reads the connection: classes, both routes, pairings and
-structure constants rest on the weights and the polarization alone.
+rho_e(alpha) = alpha(xi) (ahat - ahat_e), so the edge factors Theta_pq,
+Q(e), Q(e, e') and rho_e(nu_p) are quotients of the engine's node gaps
+(_hat, _gap).  Theta_pq is the raw quotient of rho_e over the descending
+weights at p and q, whose factors matched by the connection of_forms
+cancels, so no class computation reads the connection: classes, both
+routes, pairings and structure constants rest on the weights and the
+polarization alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -70,7 +74,6 @@ from .symbolic import (
     Polynomial,
     RationalExpr,
     format_rational,
-    rho_form,
     rho_poly,
 )
 
@@ -167,9 +170,16 @@ class ThomCalculator:
         return result
 
     def ascending_paths(self, p: str, q: str) -> list[Path]:
-        label = self.graph.label
+        """The ascending paths from p to q: those below the level of q, each
+        extended by its edge into q, so no other path out of p is listed."""
+        graph, label = self.graph, self.graph.label
         self.check_path_budget(f"listing the paths from {label(p)} to {label(q)}", [p], q.__eq__)
-        return self.paths_from(p).get(q, [])
+        below = self.paths_from(p, self.pol.level(q))
+        return below.get(q, []) + [
+            path + (graph.reverse(e),)
+            for e in self.pol.descending_out(q)
+            for path in below.get(graph.edges[e].target, [])
+        ]
 
     @_memoized
     def path_counts(self, start: str) -> dict[str, tuple[int, int]]:
@@ -208,7 +218,9 @@ class ThomCalculator:
     @_memoized
     def theta(self, eid: int) -> RationalExpr:
         """The edge ratio Theta_pq = rho_e(nu_p) / rho_e(prod of the
-        descending weights at q other than the reversal of e).
+        descending weights at q other than the reversal of e), in node form
+        c prod_{desc(p)} (ahat_w - ahat_e) / prod_{others(e)} (ahat_w - ahat_e),
+        c the quotient of the pairings alpha_w(xi) of the same edges.
 
         The paper cancels the factors that the connection matches; the
         compatibility rule makes each matched pair project to the same form,
@@ -217,22 +229,11 @@ class ThomCalculator:
         """
         if not self.pol.ascending(eid):
             return self.theta(self.graph.reverse(eid))
-        edge = self.graph.edges[eid]
-        return self._rho_ratio(
-            edge.weight,
-            self.pol.descending_out(edge.source),
-            [e for e in self.pol.descending_out(edge.target) if e != edge.reverse_id],
-        )
-
-    def _rho_ratio(
-        self, weight: LinearForm, numerator_edges: Iterable[int], denominator_edges: Iterable[int]
-    ) -> RationalExpr:
-        xi = self.pol.xi
-        return RationalExpr.of_forms(
-            [rho_form(self.graph.weight(e), weight, xi) for e in numerator_edges],
-            [rho_form(self.graph.weight(e), weight, xi) for e in denominator_edges],
-            self.graph.dimension,
-        )
+        top, bottom = self.pol.descending_out(self.graph.edges[eid].source), self._others(eid)
+        pairings = self.pol.pairings
+        scalar = Fraction(math.prod(pairings[e] for e in top)) / math.prod(pairings[e] for e in bottom)
+        ratio = RationalExpr.of_forms(self._gaps(eid, top), self._gaps(eid, bottom), self.graph.dimension)
+        return ratio * scalar
 
     @_memoized
     def iota(self, eid: int) -> RationalExpr:
@@ -245,32 +246,34 @@ class ThomCalculator:
 
     @_memoized
     def q_edge(self, eid: int) -> RationalExpr:
-        """Q(e): product of the other descending weights at the head of e,
-        over its own projection along e."""
-        return self._over_projections(eid, lambda w: w)
+        """Q(e) = prod ahat_w / (ahat_w - ahat_e) over the descending edges w
+        at the head of e other than its reversal."""
+        others = self._others(eid)
+        hats = [self._hat(self.graph.weight(e)) for e in others]
+        return RationalExpr.of_forms(hats, self._gaps(eid, others), self.graph.dimension)
 
     @_memoized
     def q_pair(self, first: int, second: int) -> RationalExpr:
-        """Q(e, e') for consecutive ascending edges meeting at a vertex."""
+        """Q(e, e') = prod (ahat_w - ahat_e') / (ahat_w - ahat_e) over the
+        descending edges w at the head of e other than its reversal, for
+        consecutive ascending edges e, e': the Lagrange basis at the nodes."""
         graph = self.graph
         if graph.edges[second].source != graph.edges[first].target:
             raise GraphError("edges are not consecutive")
-        weight = graph.weight(second)
-        return self._over_projections(first, lambda w: rho_form(w, weight, self.pol.xi))
+        others = self._others(first)
+        return RationalExpr.of_forms(self._gaps(second, others), self._gaps(first, others), graph.dimension)
 
-    def _over_projections(self, eid: int, project) -> RationalExpr:
-        """prod project(w) / prod rho_e(w) over the descending weights w at
-        the head of e other than its reversal."""
-        graph = self.graph
-        edge = graph.edges[eid]
-        others = [
-            graph.weight(e) for e in self.pol.descending_out(edge.target) if e != edge.reverse_id
-        ]
-        return RationalExpr.of_forms(
-            map(project, others),
-            [rho_form(w, edge.weight, self.pol.xi) for w in others],
-            graph.dimension,
-        )
+    def _others(self, eid: int) -> list[int]:
+        """The descending edges at the head of e other than its reversal."""
+        edge = self.graph.edges[eid]
+        return [e for e in self.pol.descending_out(edge.target) if e != edge.reverse_id]
+
+    def _gaps(self, eid: int, edges: Iterable[int]) -> list[LinearForm]:
+        """The node gaps ahat_w - ahat_e of the given edges w against e, each
+        from _gap; a node does not depend on its edge's orientation."""
+        hat, weight = self._hat, self.graph.weight
+        node = hat(weight(eid))
+        return [self._gap(hat(weight(e)), node) for e in edges]
 
     # -- path weights ------------------------------------------------------
 
@@ -318,8 +321,11 @@ class ThomCalculator:
 
     @_memoized
     def _rho_seed(self, eid: int) -> RationalExpr:
-        edge = self.graph.edges[eid]
-        return self._rho_ratio(edge.weight, self.pol.descending_out(edge.source), ())
+        """rho_e(nu_p) = prod alpha_w(xi) (ahat_w - ahat_e) over the
+        descending edges w at the tail p of e."""
+        desc = self.pol.descending_out(self.graph.edges[eid].source)
+        scalar = math.prod(self.pol.pairings[e] for e in desc)
+        return RationalExpr.of_forms(self._gaps(eid, desc), (), self.graph.dimension) * scalar
 
     def path_weight(self, path: Sequence[int]) -> RationalExpr:
         """The contribution E(gamma) of a nonempty ascending path.
@@ -585,7 +591,7 @@ def _flip_flop(
     vertex: str,
     descending: Sequence[int],
     values: Sequence[Polynomial],
-    quotients: Optional[dict[tuple[Polynomial, LinearForm], Polynomial]] = None,
+    quotients: dict[tuple[Polynomial, LinearForm], Polynomial],
 ) -> Polynomial:
     """The flip-flop psi at a vertex: rho_j(psi) = values[j] on the given
     descending edges j, as the Newton form through the nodes
@@ -596,8 +602,6 @@ def _flip_flop(
     from the calculator, once per weight and pair of nodes.  Each quotient
     is kept in `quotients` under its (difference, gap), so a caller that
     passes one dict to several flip-flops divides each pair once."""
-    if quotients is None:
-        quotients = {}
     graph = calc.graph
     nodes = [calc._hat(graph.weight(e)) for e in descending]
     table = list(values)

@@ -4,18 +4,21 @@ No command runs these, so they live here and not in the package:
 Lagrange interpolation through the symbolic Vandermonde inverse (an oracle
 for the Newton interpolation of the Thom-class engine), the Thom class of
 one edge, the integral over a cross-section, totally geodesic subgraphs,
-evaluation at a rational point, and the canonical text of a graph file.
+evaluation at a rational point, the canonical text of a graph file, and
+rho_form, the projection of one linear form along an edge weight in ints
+(the package projects linear factors through their nodes instead).
 """
 
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 from gkmcalc.cohomology import CohomologyClass
-from gkmcalc.errors import GraphError, ReductionError
+from gkmcalc.errors import GraphError, PolarizationError, ReductionError
 from gkmcalc.graph import GkmGraph
-from gkmcalc.symbolic import Polynomial, RationalExpr, format_rational, rat_vector, rho_form
+from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, _int_vector, format_rational, rat_vector
 
 # -- Lagrange interpolation; the nodes are linear forms, the values polynomials
 
@@ -146,6 +149,20 @@ def row_reduce(rows):
                 rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rows[:rank]
+
+
+def rho_form(form, edge_weight, xi):
+    """Project a linear form into the annihilator of xi along an edge weight:
+    rho_e(alpha) = alpha - (alpha(xi)/alpha_e(xi)) alpha_e.  With A/D = alpha,
+    W/D' = alpha_e and X an int multiple of xi it is
+    (A W(X) - A(X) W) / (W(X) D), one int expression."""
+    direction, _ = _int_vector(xi)
+    a, w = form._num, edge_weight._num
+    wx = sum(map(operator.mul, w, direction))
+    if wx == 0:
+        raise PolarizationError(f"edge weight {edge_weight} pairs to zero with xi")
+    ax = sum(map(operator.mul, a, direction))
+    return LinearForm._canonical(tuple(wx * x - ax * y for x, y in zip(a, w)), wx * form._den)
 
 
 def evaluate(poly, point):

@@ -12,14 +12,14 @@ from gkmcalc.demo import flag3_expected_table
 from gkmcalc.errors import PolarizationError
 from gkmcalc.graph import longest_path_morse, polarize
 from gkmcalc.render import to_root_basis
-from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, rho_form, rho_poly
+from gkmcalc.symbolic import LinearForm, Polynomial, RationalExpr, rho_poly
 from gkmcalc.thom import (
     ThomCalculator,
     _flip_flop,
     nearby_path_configurations,
     nearby_path_identity,
 )
-from oracles import lagrange_interpolate
+from oracles import lagrange_interpolate, rho_form
 
 DATA = Path(__file__).parent / "data"
 A1 = LinearForm([-1, 1, 0])
@@ -116,6 +116,18 @@ class TestAscendingPaths:
             assert calc.has_unique_path(eid) == (
                 calc.ascending_paths(edge.source, edge.target) == [(eid,)]
             )
+
+    def test_only_the_paths_below_the_end_are_listed(self):
+        # on S_5 one ascending path joins 12345 to 21345, while 432,001 leave
+        # 12345: listing the paths into 21345 lists only those below its level
+        calc = ThomCalculator(polarize(permutahedron(5)))
+        edge = calc.graph.edge_between("12345", "21345")
+        assert calc.pol.ascending(edge)
+        assert calc.path_counts("12345")["21345"] == (1, 1)
+        assert calc.ascending_paths("12345", "21345") == [(edge,)]
+        engine = calc.thom_class_inductive("12345").values["21345"]
+        assert engine == Polynomial.one(5)
+        assert calc.path_sum("12345", "21345") == engine
 
     def test_path_budget_counts_before_listing(self, monkeypatch):
         # S_5 holds 162,482 ascending paths from the bottom to the top and
@@ -280,8 +292,6 @@ class TestPathWeight:
             for cut in range(1, len(path)):
                 first, second = path[:cut], path[cut:]
                 middle = graph.edges[first[-1]].target
-                from gkmcalc.symbolic import rho_form
-
                 glue_num = graph.weight(first[-1])
                 glue_den = rho_form(glue_num, graph.weight(second[0]), pol.xi)
                 left = over(k5_calc.path_weight(path), k5_calc.nu_factors("p1"))
@@ -559,7 +569,7 @@ class TestThomClassInductive:
                     rho_poly(values[graph.edges[e].target], graph.weight(e), pol.xi)
                     for e in descending
                 ]
-                assert _flip_flop(calc, vertex, descending, incoming) == values[vertex]
+                assert _flip_flop(calc, vertex, descending, incoming, {}) == values[vertex]
 
     def test_rho_poly_calls_per_vertex(self, monkeypatch):
         # each reached vertex above the base maps the nonzero ones among its
@@ -750,6 +760,53 @@ class TestChamberInvariance:
                 continue
             first, *others = (calc.thom_class_inductive(base) for calc in calcs)
             assert all(other == first for other in others)
+
+
+class TestWeylAction:
+    """The Weyl group permutes the chambers of xi and carries the Thom basis
+    of one chamber to that of another (Tymoczko, "Permutation actions on
+    equivariant cohomology of flag varieties", Contemp. Math. 460, 2008), an
+    oracle that reads neither route's formulas.  A graph automorphism g that
+    moves the weights by x_k -> x_{position[k]} maps the class of p for xi,
+    at q, to the class of g(p) for xi' (xi_k moved to position[k]), at g(q).
+    Each chamber's classes are computed by the engine and compared with the
+    default chamber's classes moved."""
+
+    @staticmethod
+    def moved(poly, position):
+        terms = {}
+        for expo, c in poly.terms.items():
+            image = [0] * poly.dim
+            for k, e in enumerate(expo):
+                image[position[k]] = e
+            terms[tuple(image)] = c
+        return Polynomial(poly.dim, terms)
+
+    def check(self, default, vertex_map, position):
+        graph = default.graph
+        xi = [0] * graph.dimension
+        for k, c in enumerate(default.pol.xi):
+            xi[position[k]] = c
+        calc = ThomCalculator(polarize(graph, xi))
+        for p in graph.vertices:
+            image = calc.thom_class_inductive(vertex_map[p]).values
+            for q, value in default.thom_class_inductive(p).values.items():
+                assert image[vertex_map[q]] == self.moved(value, position)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_permutahedron_every_chamber(self, n):
+        # pi -> pi u: digit k of the image is digit u(k) of pi, and the
+        # weights move by x_k -> x_{u^-1(k)}
+        default = ThomCalculator(polarize(permutahedron(n)))
+        for u in itertools.permutations(range(n)):
+            vertex_map = {v: "".join(v[u[k]] for k in range(n)) for v in default.graph.vertices}
+            self.check(default, vertex_map, [u.index(k) for k in range(n)])
+
+    def test_complete_five(self):
+        # sigma maps p_i to p_sigma(i) and x_i to x_sigma(i)
+        default = ThomCalculator(polarize(complete_graph(5)))
+        for sigma in itertools.permutations(range(5)):
+            self.check(default, {f"p{i + 1}": f"p{sigma[i] + 1}" for i in range(5)}, sigma)
 
 
 class TestThomMinus:

@@ -203,8 +203,9 @@ def test_command_matches_benchmark_reference(command):
 
 # sha256 of the stdout of commands that perfbench/reference.json does not
 # cover: RationalExpr arithmetic, engine classes whose interpolation nodes
-# depend on which lower values are zero, and structured output in the roots
-# basis, which renders each distinct value once
+# depend on which lower values are zero, structured output in the roots
+# basis, which renders each distinct value once, and transfer matrices in the
+# x basis, whose entries are sums of the edge factors Q(e, e')
 RATIONAL_OUTPUTS = {
     "structconst --graph permutahedron:4 --p 2134 --q 1324": (
         "43289d290fb3bd2db466908b5e93de30af3382b73ceed81d3e61315130275448"
@@ -238,6 +239,15 @@ RATIONAL_OUTPUTS = {
     ),
     "table --graph permutahedron:5": (
         "191c9784d3a107902ce9b29b69ac13153b32935663d2fb8c8e298f49ae6c367d"
+    ),
+    "transfer --graph complete:5 --basis x": (
+        "0325a11993f845b251455959ab3e885f756c60b1ca85ab7464a1a22a4ea52e06"
+    ),
+    "transfer --graph permutahedron:4 --basis x": (
+        "b8dc9d517ad45123cac2ebd0ff2357006c210e5603419c162c9e9a64f44d623c"
+    ),
+    "transfer --graph complete:6 --basis x --format structured": (
+        "345558f37289674fc5a73afc6847638d5fa7c42ae9eb7c776336d122c1ce39fe"
     ),
 }
 
